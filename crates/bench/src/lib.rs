@@ -1,8 +1,8 @@
 //! Experiment harness regenerating every table and figure of the paper.
 //!
 //! Each `src/bin/figNN_*.rs` binary runs the corresponding experiment at a
-//! laptop-scale configuration (see DESIGN.md §6 for the paper→scaled
-//! mapping) and prints the same rows/series the paper reports. Pass
+//! laptop-scale configuration (the fields of [`Scale`] give the
+//! paper→scaled mapping) and prints the same rows/series the paper reports. Pass
 //! `--scale F` to grow the dataset by `F×` and `--seed N` for a different
 //! deterministic seed.
 //!
@@ -50,11 +50,6 @@ impl<E: KvRead + KvWrite> KvStore for EngineKvStore<'_, E> {
             .collect()
     }
 }
-
-/// The historical name for the single-engine adapter (used throughout
-/// the `fig*` binaries); now just the [`EngineKvStore`] instantiation
-/// for [`Db`].
-pub type DbKvStore<'a> = EngineKvStore<'a, Db>;
 
 /// An engine under test: a paper baseline or a custom feature set
 /// (ablations).
@@ -167,7 +162,7 @@ impl Scale {
     }
 }
 
-/// Build engine options scaled per DESIGN.md §6.
+/// Build engine options scaled per [`Scale`].
 pub fn build_options(
     spec: &EngineSpec,
     env: EnvRef,

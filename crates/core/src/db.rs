@@ -683,7 +683,7 @@ impl Db {
     pub fn stats(&self) -> DbStats {
         let inner = &self.inner;
         let version = inner.lsm.current_version();
-        let counters = inner.lsm.counters();
+        let c = inner.lsm.counters().snapshot();
         let (pinned_views, live_snapshots) = inner.lsm.read_point_counts();
         let cdc = inner.lsm.change_log().stats();
         DbStats {
@@ -695,39 +695,21 @@ impl Db {
             value_store_bytes: inner.vstore.total_bytes(),
             value_files: inner.vstore.all_files().len() as u64,
             cache_hit_ratio: inner.cache.hit_ratio(),
-            flushes: counters.flushes.load(std::sync::atomic::Ordering::Relaxed),
-            compactions: counters
-                .compactions
-                .load(std::sync::atomic::Ordering::Relaxed),
-            merge_drops: counters
-                .merge_drops
-                .load(std::sync::atomic::Ordering::Relaxed),
+            flushes: c.flushes,
+            compactions: c.compactions,
+            merge_drops: c.merge_drops,
             throttle_stalls: inner.throttle.activation_count(),
             oldest_read_point: inner.lsm.oldest_read_point(),
             pinned_views: pinned_views as u64,
             live_snapshots: live_snapshots as u64,
-            bg_errors: counters
-                .bg_errors
-                .load(std::sync::atomic::Ordering::Relaxed),
-            bg_retries: counters
-                .bg_retries
-                .load(std::sync::atomic::Ordering::Relaxed),
+            bg_errors: c.bg_errors,
+            bg_retries: c.bg_retries,
             degraded: inner.lsm.is_degraded(),
-            wal_tail_corruptions: counters
-                .wal_tail_corruptions
-                .load(std::sync::atomic::Ordering::Relaxed),
-            group_commit_groups: counters
-                .group_commit_groups
-                .load(std::sync::atomic::Ordering::Relaxed),
-            group_commit_batches: counters
-                .group_commit_batches
-                .load(std::sync::atomic::Ordering::Relaxed),
-            group_commit_max_group: counters
-                .group_commit_max_group
-                .load(std::sync::atomic::Ordering::Relaxed),
-            group_commit_fsyncs_saved: counters
-                .group_commit_fsyncs_saved
-                .load(std::sync::atomic::Ordering::Relaxed),
+            wal_tail_corruptions: c.wal_tail_corruptions,
+            group_commit_groups: c.group_commit_groups,
+            group_commit_batches: c.group_commit_batches,
+            group_commit_max_group: c.group_commit_max_group,
+            group_commit_fsyncs_saved: c.group_commit_fsyncs_saved,
             txn_commits: inner.txn.commits(),
             txn_conflicts: inner.txn.conflicts(),
             // Single-handle stores never touch the 2PC coordinator.

@@ -683,7 +683,8 @@ impl OptionsBuilder {
 }
 
 impl Options {
-    /// Scaled defaults (DESIGN.md §6) for the given mode.
+    /// Scaled defaults (see `scavenger_bench::Scale` for the paper→scaled
+    /// values) for the given mode.
     pub fn new(env: EnvRef, dir: impl Into<String>, mode: EngineMode) -> Options {
         Options {
             env,

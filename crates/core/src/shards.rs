@@ -47,7 +47,7 @@
 use crate::db::{Db, DbScanIter, ScanEntry};
 use crate::engine::GcReport;
 use crate::options::{knob_setters, Options};
-use crate::stats::{DbStats, GcStepTimes, SpaceBreakdown};
+use crate::stats::{DbStats, SpaceBreakdown};
 use crate::throttle::Throttle;
 use crate::txn::{Coordinator, TxnCounters};
 use crate::view::{ReadOptions, ReadPin, ReadView, Snapshot, WriteOptions, WriteReceipt};
@@ -735,142 +735,41 @@ impl DbShards {
     }
 
     /// Aggregate statistics across the whole shard set — the sharded
-    /// analogue of [`Db::stats`]: counters, space, and I/O sum over
-    /// shards (each shard runs under its own
-    /// [`MeteredEnv`](scavenger_env::MeteredEnv), so `io` is true
-    /// shard-set attribution rather than the env-global snapshot), the
-    /// throttle counter is read once from the shared throttle, the
-    /// cache hit ratio comes from the shared block cache,
-    /// `index_space_amp` is the ksst-byte-weighted mean, and
-    /// `oldest_read_point` is the minimum across shards (sequences are
-    /// per-shard, so it is a conservative "oldest anywhere" gauge).
+    /// analogue of [`Db::stats`]: the per-shard snapshots folded with
+    /// [`DbStats::merge`], each field under its declared rule (each shard
+    /// runs under its own [`MeteredEnv`](scavenger_env::MeteredEnv), so
+    /// `io` is true shard-set attribution rather than the env-global
+    /// snapshot). Then the values that exist only at set level: the
+    /// throttle counter read once from the shared throttle, the hit ratio
+    /// of the shared block cache, `index_space_amp` as the
+    /// ksst-byte-weighted mean, the set-level transaction and 2PC
+    /// counters added to the per-shard ones, and the root-level files
+    /// added to `space.other_bytes`.
     pub fn stats(&self) -> DbStats {
         let per_shard = self.shard_stats();
-        let mut gc = GcStepTimes::default();
-        let mut space = SpaceBreakdown::default();
-        let mut exposed_garbage_bytes = 0;
-        let mut value_store_bytes = 0;
-        let mut value_files = 0;
-        let mut flushes = 0;
-        let mut compactions = 0;
-        let mut merge_drops = 0;
-        let mut pinned_views = 0;
-        let mut live_snapshots = 0;
-        let mut bg_errors = 0;
-        let mut bg_retries = 0;
-        let mut degraded = false;
-        let mut wal_tail_corruptions = 0;
-        let mut group_commit_groups = 0;
-        let mut group_commit_batches = 0;
-        let mut group_commit_max_group = 0;
-        let mut group_commit_fsyncs_saved = 0;
-        let mut oldest_read_point = None;
-        let mut amp_weighted = 0.0;
-        let mut amp_weight = 0u64;
-        let mut cdc_events_published = 0;
-        let mut cdc_subscribers = 0;
-        let mut cdc_retained_wal_bytes = 0;
-        let mut cdc_lag_seqs = 0;
-        let mut cdc_catchup_reads = 0;
-        let mut pinned_bytes = 0;
-        let mut io = scavenger_env::IoStatsSnapshot::default();
-        for s in &per_shard {
-            io.accumulate(&s.io);
-            gc.accumulate(&s.gc);
-            space.accumulate(&s.space);
-            exposed_garbage_bytes += s.exposed_garbage_bytes;
-            value_store_bytes += s.value_store_bytes;
-            value_files += s.value_files;
-            flushes += s.flushes;
-            compactions += s.compactions;
-            merge_drops += s.merge_drops;
-            pinned_views += s.pinned_views;
-            live_snapshots += s.live_snapshots;
-            bg_errors += s.bg_errors;
-            bg_retries += s.bg_retries;
-            degraded |= s.degraded;
-            wal_tail_corruptions += s.wal_tail_corruptions;
-            group_commit_groups += s.group_commit_groups;
-            group_commit_batches += s.group_commit_batches;
-            group_commit_max_group = group_commit_max_group.max(s.group_commit_max_group);
-            group_commit_fsyncs_saved += s.group_commit_fsyncs_saved;
-            oldest_read_point = match (oldest_read_point, s.oldest_read_point) {
-                (Some(a), Some(b)) => Some(std::cmp::min(a, b)),
-                (a, b) => a.or(b),
-            };
-            amp_weighted += s.index_space_amp * s.space.ksst_bytes as f64;
-            amp_weight += s.space.ksst_bytes;
-            cdc_events_published += s.cdc_events_published;
-            cdc_subscribers += s.cdc_subscribers;
-            cdc_retained_wal_bytes += s.cdc_retained_wal_bytes;
-            // Max, not sum: per-shard sequences are independent
-            // namespaces, so "how far behind is the slowest subscriber"
-            // is the worst shard, not an addition across them.
-            cdc_lag_seqs = cdc_lag_seqs.max(s.cdc_lag_seqs);
-            cdc_catchup_reads += s.cdc_catchup_reads;
-            pinned_bytes += s.pinned_bytes;
+        let mut agg = per_shard[0].clone();
+        for s in &per_shard[1..] {
+            agg.merge(s);
         }
-        // Reuse the per-shard breakdowns computed above instead of
-        // re-walking every shard directory through self.space(); only
-        // the root-level files (routing meta, coordinator log) are
-        // added on top.
-        space.other_bytes += self.root_file_bytes();
-        DbStats {
-            // Sum of the per-shard metered counters — true shard-set
-            // attribution, not the env-global snapshot (which also
-            // counts whatever else shares the env). Only the SHARDS
-            // meta-file I/O escapes attribution, by construction.
-            io,
-            gc,
-            space,
-            index_space_amp: if amp_weight == 0 {
-                1.0
-            } else {
-                amp_weighted / amp_weight as f64
-            },
-            exposed_garbage_bytes,
-            value_store_bytes,
-            value_files,
-            cache_hit_ratio: self.inner.cache.hit_ratio(),
-            flushes,
-            compactions,
-            merge_drops,
-            throttle_stalls: self.inner.throttle.activation_count(),
-            oldest_read_point,
-            pinned_views,
-            live_snapshots,
-            bg_errors,
-            bg_retries,
-            degraded,
-            wal_tail_corruptions,
-            group_commit_groups,
-            group_commit_batches,
-            // Max, not sum: the gauge answers "largest group anywhere",
-            // and per-shard groups never merge across shards.
-            group_commit_max_group,
-            group_commit_fsyncs_saved,
-            // Transactions commit at the shard-set level, so the
-            // per-shard counters summed above are zero by construction
-            // — these come straight from the set-level state.
-            txn_commits: self.inner.txn.commits(),
-            txn_conflicts: self.inner.txn.conflicts(),
-            txn_2pc_commits: self
-                .inner
-                .coord
-                .commits
-                .load(std::sync::atomic::Ordering::Relaxed),
-            txn_2pc_rollforwards: self
-                .inner
-                .coord
-                .rollforwards
-                .load(std::sync::atomic::Ordering::Relaxed),
-            cdc_events_published,
-            cdc_subscribers,
-            cdc_retained_wal_bytes,
-            cdc_lag_seqs,
-            cdc_catchup_reads,
-            pinned_bytes,
-        }
+        let inner = &self.inner;
+        agg.throttle_stalls = inner.throttle.activation_count();
+        agg.cache_hit_ratio = inner.cache.hit_ratio();
+        let ksst = agg.space.ksst_bytes;
+        agg.index_space_amp = if ksst == 0 {
+            1.0
+        } else {
+            per_shard
+                .iter()
+                .map(|s| s.index_space_amp * s.space.ksst_bytes as f64)
+                .sum::<f64>()
+                / ksst as f64
+        };
+        agg.txn_commits += inner.txn.commits();
+        agg.txn_conflicts += inner.txn.conflicts();
+        agg.txn_2pc_commits += inner.coord.commits.load(Ordering::Relaxed);
+        agg.txn_2pc_rollforwards += inner.coord.rollforwards.load(Ordering::Relaxed);
+        agg.space.other_bytes += self.root_file_bytes();
+        agg
     }
 
     /// Aggregate on-disk space across every shard (plus the root-level
@@ -878,7 +777,7 @@ impl DbShards {
     pub fn space(&self) -> SpaceBreakdown {
         let mut total = SpaceBreakdown::default();
         for s in &self.inner.shards {
-            total.accumulate(&s.space());
+            total.merge(&s.space());
         }
         total.other_bytes += self.root_file_bytes();
         total

@@ -6,7 +6,8 @@
 //! compaction (read/write), and — the stars of Figure 12(c) — GC read and
 //! GC write.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use scavenger_util::metrics::{join_labels, Merge, Stat};
+use std::sync::atomic::Ordering;
 
 /// What a piece of I/O was performed for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,14 +66,6 @@ impl IoClass {
     }
 }
 
-#[derive(Default)]
-struct ClassCounters {
-    read_bytes: AtomicU64,
-    read_ops: AtomicU64,
-    write_bytes: AtomicU64,
-    write_ops: AtomicU64,
-}
-
 /// Thread-safe I/O counters, one set per [`IoClass`].
 #[derive(Default)]
 pub struct IoStats {
@@ -101,30 +94,27 @@ impl IoStats {
 
     /// Capture a point-in-time snapshot of all counters.
     pub fn snapshot(&self) -> IoStatsSnapshot {
-        let mut snap = IoStatsSnapshot::default();
-        for (i, c) in self.classes.iter().enumerate() {
-            snap.classes[i] = ClassSnapshot {
-                read_bytes: c.read_bytes.load(Ordering::Relaxed),
-                read_ops: c.read_ops.load(Ordering::Relaxed),
-                write_bytes: c.write_bytes.load(Ordering::Relaxed),
-                write_ops: c.write_ops.load(Ordering::Relaxed),
-            };
+        IoStatsSnapshot {
+            classes: std::array::from_fn(|i| self.classes[i].snapshot()),
         }
-        snap
     }
 }
 
-/// Counters for one class at a point in time.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ClassSnapshot {
-    /// Bytes read.
-    pub read_bytes: u64,
-    /// Read operations.
-    pub read_ops: u64,
-    /// Bytes written.
-    pub write_bytes: u64,
-    /// Write operations.
-    pub write_ops: u64,
+scavenger_util::metric_set! {
+    /// Counters for one class at a point in time.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub struct ClassSnapshot in "io_" {
+        /// Bytes read.
+        read_bytes: u64 = counter sum,
+        /// Read operations.
+        read_ops: u64 = counter sum,
+        /// Bytes written.
+        write_bytes: u64 = counter sum,
+        /// Write operations.
+        write_ops: u64 = counter sum,
+    }
+    #[derive(Default)]
+    atomic ClassCounters;
 }
 
 /// A point-in-time copy of [`IoStats`], supporting deltas and totals.
@@ -142,42 +132,36 @@ impl IoStatsSnapshot {
 
     /// `self - earlier`, per class (saturating).
     pub fn delta(&self, earlier: &IoStatsSnapshot) -> IoStatsSnapshot {
-        let mut out = IoStatsSnapshot::default();
-        for i in 0..NUM_IO_CLASSES {
-            out.classes[i] = ClassSnapshot {
-                read_bytes: self.classes[i]
-                    .read_bytes
-                    .saturating_sub(earlier.classes[i].read_bytes),
-                read_ops: self.classes[i]
-                    .read_ops
-                    .saturating_sub(earlier.classes[i].read_ops),
-                write_bytes: self.classes[i]
-                    .write_bytes
-                    .saturating_sub(earlier.classes[i].write_bytes),
-                write_ops: self.classes[i]
-                    .write_ops
-                    .saturating_sub(earlier.classes[i].write_ops),
-            };
+        IoStatsSnapshot {
+            classes: std::array::from_fn(|i| self.classes[i].delta(&earlier.classes[i])),
         }
-        out
     }
 
     /// Add `other`'s per-class counters into `self` — used by the
     /// sharded engine to fold per-shard metered snapshots into one
     /// set-wide view.
-    pub fn accumulate(&mut self, other: &IoStatsSnapshot) {
-        for i in 0..NUM_IO_CLASSES {
-            let ClassSnapshot {
-                read_bytes,
-                read_ops,
-                write_bytes,
-                write_ops,
-            } = other.classes[i];
-            self.classes[i].read_bytes += read_bytes;
-            self.classes[i].read_ops += read_ops;
-            self.classes[i].write_bytes += write_bytes;
-            self.classes[i].write_ops += write_ops;
+    pub fn merge(&mut self, other: &IoStatsSnapshot) {
+        for (mine, theirs) in self.classes.iter_mut().zip(&other.classes) {
+            mine.merge(theirs);
         }
+    }
+
+    /// Append the per-class I/O families: for each `(labels, snapshot)`
+    /// pair, one sample per class, labelled `class` first.
+    pub fn write_families<L: AsRef<str>>(out: &mut String, samples: &[(L, &IoStatsSnapshot)]) {
+        let per_class: Vec<(String, &ClassSnapshot)> = samples
+            .iter()
+            .flat_map(|(labels, io)| {
+                ALL_IO_CLASSES.into_iter().map(move |c| {
+                    let class = format!("class=\"{}\"", c.label());
+                    (
+                        join_labels(&class, labels.as_ref()),
+                        &io.classes[c as usize],
+                    )
+                })
+            })
+            .collect();
+        ClassSnapshot::write_families(out, &per_class);
     }
 
     /// Total bytes read across all classes.
@@ -198,6 +182,16 @@ impl IoStatsSnapshot {
     /// Total write operations across all classes.
     pub fn total_write_ops(&self) -> u64 {
         self.classes.iter().map(|c| c.write_ops).sum()
+    }
+}
+
+impl Stat for IoStatsSnapshot {
+    fn merge_with(&mut self, other: &IoStatsSnapshot, _rule: Merge) {
+        self.merge(other)
+    }
+
+    fn since(&self, earlier: &IoStatsSnapshot) -> IoStatsSnapshot {
+        self.delta(earlier)
     }
 }
 
@@ -260,6 +254,25 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(s.snapshot().class(IoClass::FgValueRead).read_ops, 8000);
+    }
+
+    #[test]
+    fn families_group_every_class_and_member() {
+        let s = IoStats::new();
+        s.record_read(IoClass::Wal, 9);
+        let io = s.snapshot();
+        let mut out = String::new();
+        IoStatsSnapshot::write_families(&mut out, &[("", &io), ("shard=\"1\"", &io)]);
+        assert!(out.contains(
+            "scavenger_io_read_bytes_total{class=\"wal\"} 9\n\
+             scavenger_io_read_bytes_total{class=\"flush\"} 0\n"
+        ));
+        assert!(out.contains("scavenger_io_read_bytes_total{class=\"wal\",shard=\"1\"} 9\n"));
+        assert_eq!(out.matches("# TYPE").count(), 4);
+        assert_eq!(
+            out.lines().filter(|l| !l.starts_with('#')).count(),
+            4 * 2 * NUM_IO_CLASSES
+        );
     }
 
     #[test]

@@ -132,40 +132,45 @@ struct BgSignal {
     shutdown: bool,
 }
 
-/// Engine counters.
-#[derive(Debug, Default)]
-pub struct LsmCounters {
-    /// Memtable flushes completed.
-    pub flushes: AtomicU64,
-    /// Compactions completed (excluding trivial moves).
-    pub compactions: AtomicU64,
-    /// Trivial moves applied.
-    pub trivial_moves: AtomicU64,
-    /// Writer stalls (threaded mode).
-    pub stalls: AtomicU64,
-    /// Entries dropped by merges (exposed garbage events).
-    pub merge_drops: AtomicU64,
-    /// Background jobs that failed permanently (after retries) and
-    /// degraded the engine to read-only mode.
-    pub bg_errors: AtomicU64,
-    /// Transient background-job failures that were retried.
-    pub bg_retries: AtomicU64,
-    /// WALs whose tail was torn or corrupt at recovery (the intact
-    /// prefix was replayed; the tail was dropped).
-    pub wal_tail_corruptions: AtomicU64,
-    /// Commit groups written (each is one WAL record + at most one
-    /// fsync, regardless of how many batches rode in it).
-    pub group_commit_groups: AtomicU64,
-    /// Batches committed through the group-commit path. Under writer
-    /// contention this exceeds `group_commit_groups` — the gap is the
-    /// amortization win.
-    pub group_commit_batches: AtomicU64,
-    /// Largest number of batches ever committed in one group.
-    pub group_commit_max_group: AtomicU64,
-    /// Fsyncs avoided by riders: for every group that synced, each
-    /// `sync = true` member beyond the first would have paid its own
-    /// fsync on the serialized path.
-    pub group_commit_fsyncs_saved: AtomicU64,
+scavenger_util::metric_set! {
+    /// Point-in-time copy of [`LsmCounters`].
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct LsmCountersSnapshot in "lsm_" {
+        /// Memtable flushes completed.
+        flushes: u64 = counter sum,
+        /// Compactions completed (excluding trivial moves).
+        compactions: u64 = counter sum,
+        /// Trivial moves applied.
+        trivial_moves: u64 = counter sum,
+        /// Writer stalls (threaded mode).
+        stalls: u64 = counter sum,
+        /// Entries dropped by merges (exposed garbage events).
+        merge_drops: u64 = counter sum,
+        /// Background jobs that failed permanently (after retries) and
+        /// degraded the engine to read-only mode.
+        bg_errors: u64 = counter sum,
+        /// Transient background-job failures that were retried.
+        bg_retries: u64 = counter sum,
+        /// WALs whose tail was torn or corrupt at recovery (the intact
+        /// prefix was replayed; the tail was dropped).
+        wal_tail_corruptions: u64 = counter sum,
+        /// Commit groups written (each is one WAL record + at most one
+        /// fsync, regardless of how many batches rode in it).
+        group_commit_groups: u64 = counter sum,
+        /// Batches committed through the group-commit path. Under writer
+        /// contention this exceeds `group_commit_groups` — the gap is the
+        /// amortization win.
+        group_commit_batches: u64 = counter sum,
+        /// Largest number of batches ever committed in one group.
+        group_commit_max_group: u64 = gauge max,
+        /// Fsyncs avoided by riders: for every group that synced, each
+        /// `sync = true` member beyond the first would have paid its own
+        /// fsync on the serialized path.
+        group_commit_fsyncs_saved: u64 = counter sum,
+    }
+    /// Engine counters.
+    #[derive(Debug, Default)]
+    pub atomic LsmCounters;
 }
 
 struct Inner {

@@ -105,7 +105,8 @@ pub struct LsmOptions {
 }
 
 impl LsmOptions {
-    /// Reasonable scaled-down defaults (see DESIGN.md §6) on the given env.
+    /// Reasonable scaled-down defaults (see `scavenger_bench::Scale` for
+    /// the paper→scaled values) on the given env.
     pub fn new(env: EnvRef, dir: impl Into<String>) -> Self {
         LsmOptions {
             env,

@@ -34,7 +34,7 @@ pub mod rate_limit;
 pub mod service;
 
 pub use client::{is_pin_expired, is_rate_limited, ChangeBatch, Client};
-pub use metrics::{render_metrics, ServerMetrics};
+pub use metrics::{render_metrics, ServerCounters, ServerMetrics};
 pub use pins::PinTable;
 pub use protocol::{BatchOp, Request, Response, SubscribeSpec, WireChange, WireCode};
 pub use rate_limit::TokenBucket;

@@ -3,47 +3,53 @@
 //! [`ServerMetrics`] is the service layer's own telemetry — connection
 //! accounting, rate-limit and slow-query counters, per-op latency
 //! histograms. [`render_metrics`] stitches it together with the
-//! engine's [`DbStats`] exposition (including
+//! engine's [`DbStats`](scavenger::DbStats) exposition (including
 //! per-shard I/O attribution from `Maintenance::per_shard_stats`) into
 //! the single text page served on the `/metrics` HTTP listener and the
 //! `Stats` wire request.
 
 use parking_lot::Mutex;
-use scavenger::stats::{prom_header, prom_line, render_io_prometheus};
-use scavenger::{DbStats, Maintenance};
+use scavenger::Maintenance;
 use scavenger_util::hist::Histogram;
-use std::sync::atomic::{AtomicU64, Ordering};
+use scavenger_util::metric_set;
+use scavenger_util::metrics::{write_family, write_header, write_sample, Kind};
 use std::time::Duration;
 
 /// Request-op classes tracked by the per-op latency histograms.
 pub const OP_LABELS: [&str; 5] = ["get", "put", "delete", "write", "scan"];
 
-/// Live counters for the service layer. All methods are lock-free or
-/// take a short histogram lock; safe to share across connection
-/// threads via `Arc`.
-#[derive(Default)]
-pub struct ServerMetrics {
-    /// Connections accepted over the server's lifetime.
-    pub conns_total: AtomicU64,
-    /// Connections currently being served.
-    pub conns_active: AtomicU64,
-    /// Connections rejected at accept time (connection cap).
-    pub conns_rejected: AtomicU64,
-    /// Requests rejected by a token bucket.
-    pub rate_limited: AtomicU64,
-    /// Requests whose latency crossed the slow-query threshold.
-    pub slow_queries: AtomicU64,
-    /// Requests answered, by outcome.
-    pub requests_ok: AtomicU64,
-    /// Requests answered with an error frame.
-    pub requests_err: AtomicU64,
-    /// Pinned-read requests that named an unknown/expired snapshot id.
-    pub pin_misses: AtomicU64,
-    /// Change events delivered in `ChangeChunk` frames.
-    pub cdc_events_streamed: AtomicU64,
-    /// Per-op latency histograms (microseconds), indexed like
-    /// [`OP_LABELS`].
-    latency_us: [Mutex<Histogram>; 5],
+metric_set! {
+    /// Point-in-time copy of the [`ServerMetrics`] counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ServerCounters in "server_" {
+        /// Connections accepted since start.
+        conns_total as connections: u64 = counter sum,
+        /// Connections currently open.
+        conns_active as connections_active: u64 = gauge sum,
+        /// Connections refused at accept time by the connection cap.
+        conns_rejected as connections_rejected: u64 = counter sum,
+        /// Requests rejected by a token bucket.
+        rate_limited: u64 = counter sum,
+        /// Requests slower than the slow-query threshold.
+        slow_queries: u64 = counter sum,
+        /// Requests answered with a success frame.
+        requests_ok: u64 = counter sum hand,
+        /// Requests answered with an error frame.
+        requests_err: u64 = counter sum hand,
+        /// Pinned reads that named an unknown or expired snapshot id.
+        pin_misses: u64 = counter sum,
+        /// Change events delivered in ChangeChunk frames.
+        cdc_events_streamed: u64 = counter sum,
+    }
+    /// Live counters for the service layer. All methods are lock-free or
+    /// take a short histogram lock; safe to share across connection
+    /// threads via `Arc`.
+    #[derive(Default)]
+    pub atomic ServerMetrics {
+        /// Per-op latency histograms (microseconds), indexed like
+        /// [`OP_LABELS`].
+        latency_us: [Mutex<Histogram>; 5],
+    }
 }
 
 impl ServerMetrics {
@@ -71,132 +77,38 @@ impl ServerMetrics {
 
     /// Append the service-layer series to a Prometheus page.
     pub fn render(&self, out: &mut String, pinned: usize, change_streams: usize) {
-        prom_header(
-            out,
-            "scavenger_server_connections_total",
-            "counter",
-            "Connections accepted since start.",
-        );
-        prom_line(
-            out,
-            "scavenger_server_connections_total",
-            "",
-            self.conns_total.load(Ordering::Relaxed) as f64,
-        );
-        prom_header(
-            out,
-            "scavenger_server_connections_active",
-            "gauge",
-            "Connections currently open.",
-        );
-        prom_line(
-            out,
-            "scavenger_server_connections_active",
-            "",
-            self.conns_active.load(Ordering::Relaxed) as f64,
-        );
-        prom_header(
-            out,
-            "scavenger_server_connections_rejected_total",
-            "counter",
-            "Connections refused at accept time by the connection cap.",
-        );
-        prom_line(
-            out,
-            "scavenger_server_connections_rejected_total",
-            "",
-            self.conns_rejected.load(Ordering::Relaxed) as f64,
-        );
-        prom_header(
-            out,
-            "scavenger_server_rate_limited_total",
-            "counter",
-            "Requests rejected by a token bucket.",
-        );
-        prom_line(
-            out,
-            "scavenger_server_rate_limited_total",
-            "",
-            self.rate_limited.load(Ordering::Relaxed) as f64,
-        );
-        prom_header(
-            out,
-            "scavenger_server_slow_queries_total",
-            "counter",
-            "Requests slower than the slow-query threshold.",
-        );
-        prom_line(
-            out,
-            "scavenger_server_slow_queries_total",
-            "",
-            self.slow_queries.load(Ordering::Relaxed) as f64,
-        );
-        prom_header(
+        let c = self.snapshot();
+        ServerCounters::write_families(out, &[("", &c)]);
+        write_family(
             out,
             "scavenger_server_requests_total",
-            "counter",
+            Kind::Counter,
             "Requests answered, by outcome.",
+            [
+                ("outcome=\"ok\"", c.requests_ok as f64),
+                ("outcome=\"error\"", c.requests_err as f64),
+            ],
         );
-        prom_line(
-            out,
-            "scavenger_server_requests_total",
-            "outcome=\"ok\"",
-            self.requests_ok.load(Ordering::Relaxed) as f64,
-        );
-        prom_line(
-            out,
-            "scavenger_server_requests_total",
-            "outcome=\"error\"",
-            self.requests_err.load(Ordering::Relaxed) as f64,
-        );
-        prom_header(
-            out,
-            "scavenger_server_pin_misses_total",
-            "counter",
-            "Pinned reads that named an unknown or expired snapshot id.",
-        );
-        prom_line(
-            out,
-            "scavenger_server_pin_misses_total",
-            "",
-            self.pin_misses.load(Ordering::Relaxed) as f64,
-        );
-        prom_header(
+        write_family(
             out,
             "scavenger_server_pinned_snapshots",
-            "gauge",
+            Kind::Gauge,
             "Snapshots currently held in the server pin table.",
+            [("", pinned as f64)],
         );
-        prom_line(out, "scavenger_server_pinned_snapshots", "", pinned as f64);
-        prom_header(
+        write_family(
             out,
             "scavenger_server_change_streams",
-            "gauge",
+            Kind::Gauge,
             "Change streams currently held in the server stream table.",
-        );
-        prom_line(
-            out,
-            "scavenger_server_change_streams",
-            "",
-            change_streams as f64,
-        );
-        prom_header(
-            out,
-            "scavenger_server_cdc_events_streamed_total",
-            "counter",
-            "Change events delivered in ChangeChunk frames.",
-        );
-        prom_line(
-            out,
-            "scavenger_server_cdc_events_streamed_total",
-            "",
-            self.cdc_events_streamed.load(Ordering::Relaxed) as f64,
+            [("", change_streams as f64)],
         );
 
-        prom_header(
+        let name = "scavenger_server_op_latency_us";
+        write_header(
             out,
-            "scavenger_server_op_latency_us",
-            "summary",
+            name,
+            Kind::Summary,
             "Per-op request latency in microseconds.",
         );
         for (idx, op) in OP_LABELS.iter().enumerate() {
@@ -205,31 +117,22 @@ impl ServerMetrics {
                 continue;
             }
             for (q, p) in [("0.5", 50.0), ("0.99", 99.0)] {
-                prom_line(
+                write_sample(
                     out,
-                    "scavenger_server_op_latency_us",
+                    name,
                     &format!("op=\"{op}\",quantile=\"{q}\""),
                     h.percentile(p),
                 );
             }
-            prom_line(
-                out,
-                "scavenger_server_op_latency_us_count",
-                &format!("op=\"{op}\""),
-                h.count() as f64,
-            );
-            prom_line(
-                out,
-                "scavenger_server_op_latency_us_sum",
-                &format!("op=\"{op}\""),
-                h.sum() as f64,
-            );
+            let op_label = format!("op=\"{op}\"");
+            write_sample(out, &format!("{name}_count"), &op_label, h.count() as f64);
+            write_sample(out, &format!("{name}_sum"), &op_label, h.sum() as f64);
         }
     }
 }
 
-/// Render the full `/metrics` page: engine stats (aggregate), per-shard
-/// I/O attribution, and service-layer counters.
+/// Render the full `/metrics` page: engine stats (aggregate, with
+/// per-shard I/O attribution) and service-layer counters.
 pub fn render_metrics<E: Maintenance>(
     engine: &E,
     metrics: &ServerMetrics,
@@ -237,24 +140,17 @@ pub fn render_metrics<E: Maintenance>(
     change_streams: usize,
 ) -> String {
     let mut out = String::new();
-    let stats: DbStats = engine.stats();
-    stats.render_prometheus(&mut out, "");
-
-    // Per-shard I/O: one series set per member, labelled by shard
-    // index. For an unsharded engine this is a single shard="0" set
-    // mirroring the aggregate.
+    // One shard="<i>" I/O sample set per member; for an unsharded engine
+    // a single shard="0" set mirroring the aggregate.
     let shards = engine.per_shard_stats();
-    prom_header(
+    engine.stats().render_prometheus(&mut out, &shards);
+    write_family(
         &mut out,
         "scavenger_shard_count",
-        "gauge",
+        Kind::Gauge,
         "Members reporting per-shard statistics.",
+        [("", shards.len() as f64)],
     );
-    prom_line(&mut out, "scavenger_shard_count", "", shards.len() as f64);
-    for (i, s) in shards.iter().enumerate() {
-        render_io_prometheus(&mut out, &s.io, &format!("shard=\"{i}\""));
-    }
-
     metrics.render(&mut out, pinned, change_streams);
     out
 }
@@ -262,6 +158,7 @@ pub fn render_metrics<E: Maintenance>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn render_includes_counters_and_latency_quantiles() {

@@ -114,11 +114,10 @@ impl WireCode {
 
     /// Map an engine [`Error`] to its wire code.
     ///
-    /// The match destructures every variant with no wildcard arm — the
-    /// same pattern as `SpaceBreakdown::accumulate` — so adding an
-    /// `Error` variant is a compile error here until someone decides
-    /// its wire code, rather than a silent fall-through to a generic
-    /// one.
+    /// The match destructures every variant with no wildcard arm, so
+    /// adding an `Error` variant is a compile error here until someone
+    /// decides its wire code, rather than a silent fall-through to a
+    /// generic one.
     pub fn from_error(err: &Error) -> WireCode {
         match err {
             Error::NotFound(_) => WireCode::NotFound,

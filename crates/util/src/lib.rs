@@ -14,6 +14,9 @@
 //! * [`error`] — the shared [`Error`] type.
 //! * [`iter`] — the shared fuse-on-error adapter behind every
 //!   user-facing scan iterator's `Iterator` impl.
+//! * [`metrics`] — [`metric_set!`], the one declaration each engine and
+//!   server statistic is derived from: snapshot, atomic twin, shard
+//!   merge, delta and Prometheus exposition.
 
 pub mod coding;
 pub mod crc32c;
@@ -21,5 +24,6 @@ pub mod error;
 pub mod hist;
 pub mod ikey;
 pub mod iter;
+pub mod metrics;
 
 pub use error::{Error, Result};

@@ -4,13 +4,15 @@
 //! identical to a single [`Db`] — same gets, same merged scan order and
 //! contents, same snapshot reads — under a random op sequence with
 //! flush/compaction/GC interleavings; routing is stable across reopen;
-//! cross-shard scans honor bound edges exactly; and the §III-D space
-//! budget is enforced globally across shards.
+//! cross-shard scans honor bound edges exactly; the §III-D space
+//! budget is enforced globally across shards; and the set's statistics
+//! are the per-shard ones folded under their declared merge rules.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scavenger::{
-    Db, DbShards, EngineMode, MemEnv, Options, ReadOptions, ShardedOptions, WriteOptions,
+    Db, DbShards, EngineMode, Env, MemEnv, Options, ReadOptions, ShardedOptions, Transactional,
+    WriteOptions,
 };
 use scavenger_env::EnvRef;
 
@@ -557,4 +559,95 @@ fn multicore_gc_runs_on_every_shard() {
             bytes::Bytes::from(value(5 * 300 + i, 2048))
         );
     }
+}
+
+/// A transaction committed through a member handle (`db.shard(i)`)
+/// counts in the set's aggregate alongside set-level commits.
+#[test]
+fn member_transactions_count_in_set_stats() {
+    let db = DbShards::open(sharded_opts(
+        MemEnv::shared(),
+        "txn-count",
+        EngineMode::Scavenger,
+        4,
+    ))
+    .unwrap();
+    let mut txn = db.shard(0).begin();
+    txn.put(key(1), value(1, 64));
+    txn.commit().unwrap();
+    let mut txn = db.begin();
+    txn.put(key(2), value(2, 64));
+    txn.commit().unwrap();
+    assert_eq!(db.stats().txn_commits, 2);
+}
+
+/// `DbShards::stats` is the fold of `per_shard_stats` under each field's
+/// declared merge rule, except the set-level values, which come from
+/// their own sources.
+#[test]
+fn set_stats_fold_per_shard_stats_under_declared_rules() {
+    let env = MemEnv::shared();
+    let db = DbShards::open(sharded_opts(env.clone(), "agg", EngineMode::Scavenger, 4)).unwrap();
+    for round in 0..3 {
+        for i in 0..300 {
+            db.put(key(i), value(i + round, 700)).unwrap();
+        }
+    }
+    for i in (0..300).step_by(5) {
+        db.delete(key(i)).unwrap();
+    }
+    let mut batch = scavenger_lsm::WriteBatch::new();
+    for i in 0..8 {
+        batch.put(key(i + 1000), bytes::Bytes::from(value(i, 64)));
+    }
+    db.write(batch).unwrap();
+    db.flush().unwrap();
+    db.run_gc_until_clean().unwrap();
+    let mut txn = db.shard(1).begin();
+    txn.put(key(2000), value(1, 64));
+    txn.commit().unwrap();
+    let mut txn = db.begin();
+    txn.get(key(3)).unwrap();
+    txn.put(key(3), value(3, 64));
+    txn.commit().unwrap();
+    let _snap = db.snapshot();
+
+    let got = db.stats();
+    let per = db.shard_stats();
+    assert!(got.gc.runs > 0 && got.flushes > 0 && got.txn_2pc_commits > 0);
+
+    // The declared rules, spelled out for a few fields of each kind.
+    assert_eq!(got.flushes, per.iter().map(|s| s.flushes).sum::<u64>());
+    assert_eq!(got.gc.runs, per.iter().map(|s| s.gc.runs).sum::<u64>());
+    assert_eq!(
+        got.group_commit_max_group,
+        per.iter().map(|s| s.group_commit_max_group).max().unwrap()
+    );
+    assert_eq!(
+        got.oldest_read_point,
+        per.iter().filter_map(|s| s.oldest_read_point).min()
+    );
+    assert_eq!(got.degraded, per.iter().any(|s| s.degraded));
+
+    // Every field: the declared fold, then the set-level values from
+    // their sources.
+    let mut want = per[0].clone();
+    for s in &per[1..] {
+        want.merge(s);
+    }
+    want.throttle_stalls = db.throttle().activation_count();
+    want.cache_hit_ratio = db.block_cache().hit_ratio();
+    want.index_space_amp = per
+        .iter()
+        .map(|s| s.index_space_amp * s.space.ksst_bytes as f64)
+        .sum::<f64>()
+        / want.space.ksst_bytes as f64;
+    // One set-level transaction and one cross-shard 2PC batch on top of
+    // the member's commit.
+    assert_eq!(want.txn_commits, 1);
+    want.txn_commits += 1;
+    want.txn_2pc_commits += 1;
+    want.space.other_bytes +=
+        env.file_size("agg/SHARDS").unwrap() + env.file_size("agg/COORDLOG").unwrap();
+    assert_eq!(got, want);
 }
