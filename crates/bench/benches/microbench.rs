@@ -1,7 +1,7 @@
 //! Microbenchmarks over the substrate data structures: blocks, bloom
 //! filters, CRC, block cache, memtable, WAL, and the workload generators.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scavenger_table::block::{Block, BlockBuilder};
@@ -75,11 +75,22 @@ fn bench_bloom(c: &mut Criterion) {
     g.finish();
 }
 
+/// The dispatched kernel (`crc32c::kernel()` names it) beside the
+/// portable table loop, at a WAL-record, a block and a large-value size.
 fn bench_crc(c: &mut Criterion) {
     let mut g = c.benchmark_group("crc32c");
+    let dispatched = format!("{:?}", crc32c::kernel()).to_lowercase();
     let data = vec![0xa5u8; 64 * 1024];
-    g.throughput(Throughput::Bytes(data.len() as u64));
-    g.bench_function("64k", |b| b.iter(|| crc32c::value(&data)));
+    for (label, len) in [("64b", 64), ("4k", 4096), ("64k", 64 * 1024)] {
+        let input = &data[..len];
+        g.throughput(Throughput::Bytes(len as u64));
+        g.bench_function(format!("{dispatched}_{label}"), |b| {
+            b.iter(|| crc32c::value(black_box(input)))
+        });
+        g.bench_function(format!("portable_{label}"), |b| {
+            b.iter(|| crc32c::extend_portable(0, black_box(input)))
+        });
+    }
     g.finish();
 }
 

@@ -322,7 +322,8 @@ impl ValueSession for SeparationSession {
                     self.relocation_readers
                         .insert(old.file, self.vstore.gc_reader(old.file)?);
                 }
-                let old_value = self.relocation_readers[&old.file].read_at(old.offset, old.size)?;
+                let old_value =
+                    self.relocation_readers[&old.file].read_at(user_key, old.offset, old.size)?;
                 self.gc_stats
                     .read_ns
                     .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);

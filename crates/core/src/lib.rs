@@ -58,6 +58,7 @@
 //! the benchmark baselines.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod changes;
 pub mod db;

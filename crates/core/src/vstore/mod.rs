@@ -344,7 +344,9 @@ impl ValueStore {
         // Fast path: the file is live (no GC touched it).
         if let Some(meta) = self.meta(vref.file) {
             if meta.format == VFormat::BlobLog {
-                return self.reader(vref.file)?.read_at(vref.offset, vref.size);
+                return self
+                    .reader(vref.file)?
+                    .read_at(user_key, vref.offset, vref.size);
             }
             if let Some(v) = self.reader(vref.file)?.get_exact(user_key, seq)? {
                 return Ok(v);

@@ -4,7 +4,8 @@
 //! * **RTable** — Scavenger's record-based table (dense partitioned index,
 //!   enabling Lazy Read).
 //! * **BlobLog** — BlobDB/Titan's append-ordered blob file; values are
-//!   addressed by `(offset, size)` and carry a per-record CRC:
+//!   addressed by `(offset, size)` and carry a per-record CRC over key and
+//!   value, checked by GC scans and by every address read:
 //!
 //! ```text
 //! record := varint32 klen | varint32 vlen | key | value | fixed32 crc
@@ -379,10 +380,11 @@ impl VReader {
         }
     }
 
-    /// Address-based value read (blob logs).
-    pub fn read_at(&self, offset: u64, size: u32) -> Result<Bytes> {
+    /// Address-based value read (blob logs): the value of `user_key` at
+    /// `(offset, size)`, checksum-verified (see [`BlobLogReader::read_value`]).
+    pub fn read_at(&self, user_key: &[u8], offset: u64, size: u32) -> Result<Bytes> {
         match self {
-            VReader::Blob(r) => r.file.read_at(offset, size as usize),
+            VReader::Blob(r) => r.read_value(user_key, offset, size),
             _ => Err(Error::invalid_argument("address read on a keyed table")),
         }
     }
@@ -459,6 +461,31 @@ impl BlobLogReader {
     /// Wrap an open file.
     pub fn new(file: Arc<dyn RandomAccessFile>) -> Self {
         BlobLogReader { file }
+    }
+
+    /// Read the value of `user_key` stored at `(offset, size)`. One read
+    /// fetches the record's internal key, value and CRC, so the record CRC
+    /// is verified and the stored key is checked to belong to `user_key`;
+    /// either mismatch is [`Error::Corruption`].
+    pub fn read_value(&self, user_key: &[u8], offset: u64, size: u32) -> Result<Bytes> {
+        let ikey_len = user_key.len() + 8;
+        let size = size as usize;
+        let start = offset
+            .checked_sub(ikey_len as u64)
+            .ok_or_else(|| Error::corruption("blob value address precedes its key"))?;
+        let raw = self.file.read_at(start, ikey_len + size + 4)?;
+        if raw.len() != ikey_len + size + 4 {
+            return Err(Error::corruption("short blob record read"));
+        }
+        let (ikey, rest) = raw.split_at(ikey_len);
+        let stored = u32::from_le_bytes(rest[size..].try_into().unwrap());
+        if stored != crc32c::extend(crc32c::value(ikey), &rest[..size]) {
+            return Err(Error::corruption("blob record checksum mismatch"));
+        }
+        if extract_user_key(ikey) != user_key {
+            return Err(Error::corruption("blob record belongs to another key"));
+        }
+        Ok(raw.slice(ikey_len..ikey_len + size))
     }
 
     /// Sequentially parse the whole log (the GC "Read" step for
@@ -547,8 +574,8 @@ mod tests {
         let r = VReader::open(&env, "db", 9, 0, format, None, IoClass::FgValueRead).unwrap();
         match format {
             VFormat::BlobLog => {
-                for (_, _, value, rec) in &recs {
-                    let got = r.read_at(rec.offset, rec.size).unwrap();
+                for (key, _, value, rec) in &recs {
+                    let got = r.read_at(key.as_bytes(), rec.offset, rec.size).unwrap();
                     assert_eq!(&got[..], value.as_slice());
                 }
             }
@@ -605,7 +632,10 @@ mod tests {
         let r = VReader::open(&env, "db", 3, 0, VFormat::BlobLog, None, IoClass::GcRead).unwrap();
         let recs = r.scan_all().unwrap();
         for rec in recs {
-            let direct = r.read_at(rec.value_offset, rec.value.len() as u32).unwrap();
+            let uk = record_user_key(&rec.ikey);
+            let direct = r
+                .read_at(uk, rec.value_offset, rec.value.len() as u32)
+                .unwrap();
             assert_eq!(direct, rec.value);
         }
     }
@@ -628,6 +658,37 @@ mod tests {
         env.corrupt_byte("db/000004.blob", 50).unwrap();
         let r = VReader::open(&eref, "db", 4, 0, VFormat::BlobLog, None, IoClass::GcRead).unwrap();
         assert!(r.scan_all().is_err());
+    }
+
+    /// Address reads verify the record: a flipped value byte, a wrong
+    /// owner key, or an address before the key are all corruption.
+    #[test]
+    fn bloblog_read_at_verifies_record() {
+        let env = MemEnv::shared();
+        let eref: EnvRef = env.clone();
+        let mut w = VWriter::create(
+            &eref,
+            "db",
+            6,
+            VFormat::BlobLog,
+            table_opts(),
+            IoClass::Flush,
+        )
+        .unwrap();
+        let rec = w.add(b"k", 5, &vec![9u8; 500]).unwrap();
+        w.finish().unwrap();
+        let r = VReader::open(&eref, "db", 6, 0, VFormat::BlobLog, None, IoClass::GcRead).unwrap();
+        let got = r.read_at(b"k", rec.offset, rec.size).unwrap();
+        assert_eq!(got, vec![9u8; 500]);
+        let other = r.read_at(b"j", rec.offset, rec.size).unwrap_err();
+        assert!(matches!(other, Error::Corruption(_)), "{other}");
+        let early = r.read_at(b"a-long-key", rec.offset, rec.size).unwrap_err();
+        assert!(matches!(early, Error::Corruption(_)), "{early}");
+
+        env.corrupt_byte("db/000006.blob", rec.offset + 100)
+            .unwrap();
+        let err = r.read_at(b"k", rec.offset, rec.size).unwrap_err();
+        assert!(matches!(err, Error::Corruption(_)), "{err}");
     }
 
     #[test]
@@ -765,5 +826,35 @@ mod tests {
         assert_eq!(vfile_path("db", 7, VFormat::RTable), "db/000007.vsst");
         assert_eq!(vfile_path("db", 7, VFormat::BTable), "db/000007.vsst");
         assert_eq!(vfile_path("db", 7, VFormat::BlobLog), "db/000007.blob");
+    }
+
+    /// Pins one whole blob-log record: varint lengths, internal key,
+    /// value and CRC-32C. Every stored blob log holds these bytes, so a
+    /// checksum kernel that changed them would be a format break.
+    #[test]
+    fn golden_blob_record() {
+        let env: EnvRef = MemEnv::shared();
+        let mut w = VWriter::create(
+            &env,
+            "db",
+            5,
+            VFormat::BlobLog,
+            table_opts(),
+            IoClass::Flush,
+        )
+        .unwrap();
+        let rec = w.add(b"key", 7, b"scavenger").unwrap();
+        w.finish().unwrap();
+        let f = env
+            .open_random_access("db/000005.blob", IoClass::GcRead)
+            .unwrap();
+        let raw = f.read_at(0, f.len() as usize).unwrap();
+        let mut expect = vec![11u8, 9];
+        expect.extend_from_slice(b"key");
+        expect.extend_from_slice(&[0x01, 0x07, 0, 0, 0, 0, 0, 0]);
+        expect.extend_from_slice(b"scavenger");
+        expect.extend_from_slice(&[0xa7, 0xcc, 0xf3, 0xb2]);
+        assert_eq!(raw[..], expect[..]);
+        assert_eq!((rec.offset, rec.size), (13, 9));
     }
 }

@@ -25,6 +25,8 @@
 //! positional reads, whole-file reads, rename/remove/list) — exactly what
 //! an LSM-tree needs and nothing more.
 
+#![deny(unsafe_code)]
+
 pub mod device;
 pub mod fault;
 pub mod fs;

@@ -333,4 +333,17 @@ mod tests {
         assert!(!corrupt);
         assert!(got.is_empty());
     }
+
+    /// Pins one FULL-record header: masked CRC-32C, length, type. Every
+    /// stored log holds these bytes, so a checksum kernel that changed
+    /// them would be a format break.
+    #[test]
+    fn golden_full_record_header() {
+        let env = MemEnv::new();
+        write_log(&env, "wal", &[b"scavenger".to_vec()]);
+        let raw = env.read_file("wal", IoClass::Wal).unwrap();
+        assert_eq!(raw.len(), HEADER_SIZE + 9);
+        assert_eq!(raw[..HEADER_SIZE], [0x53, 0x21, 0x0b, 0x08, 9, 0, FULL]);
+        assert_eq!(&raw[HEADER_SIZE..], b"scavenger");
+    }
 }

@@ -25,6 +25,7 @@
 //! - [`metrics`] — service-layer counters and Prometheus rendering.
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod client;
 pub mod metrics;

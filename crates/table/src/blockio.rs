@@ -117,4 +117,16 @@ mod tests {
         let r = env.open_random_access("f", IoClass::FgIndexRead).unwrap();
         assert_eq!(read_block(r.as_ref(), h).unwrap().len(), 0);
     }
+
+    /// Pins the on-disk block trailer: type byte plus masked CRC-32C.
+    /// Every stored table holds these bytes, so a checksum kernel that
+    /// changed them would be a format break.
+    #[test]
+    fn golden_block_trailer() {
+        let mut buf = Vec::new();
+        let h = stage_block(&mut buf, 0, b"scavenger");
+        assert_eq!(h, BlockHandle::new(0, 9));
+        assert_eq!(&buf[..9], b"scavenger");
+        assert_eq!(buf[9..], [0x00, 0xf0, 0xfa, 0x57, 0x7f]);
+    }
 }

@@ -23,6 +23,8 @@
 //! (table properties incl. the value-dependency list that powers
 //! compensated-size compaction), and [`blockio`] (checksummed block I/O).
 
+#![deny(unsafe_code)]
+
 pub mod block;
 pub mod blockio;
 pub mod btable;

@@ -2,7 +2,7 @@
 //! mixed workload, with full read verification.
 
 use scavenger::{Db, EngineMode, MemEnv, Options};
-use scavenger_env::EnvRef;
+use scavenger_env::{Env, EnvRef};
 use scavenger_workload::dist::KeyDist;
 use scavenger_workload::runner::Runner;
 use scavenger_workload::values::ValueGen;
@@ -156,5 +156,34 @@ fn batched_writes_are_atomic_units() {
     );
     for i in 1..50 {
         assert!(db.get(format!("b{i:02}")).unwrap().is_some());
+    }
+}
+
+/// Foreground reads from a blob log verify the record CRC: a value byte
+/// flipped on disk surfaces as corruption, never as the flipped bytes.
+#[test]
+fn blob_value_corruption_fails_foreground_get() {
+    for mode in [EngineMode::Titan, EngineMode::BlobDb] {
+        let env = MemEnv::shared();
+        let db = Db::open(small_opts(env.clone(), mode)).unwrap();
+        db.put(b"key", vec![0x5au8; 4096]).unwrap();
+        db.flush().unwrap();
+        assert_eq!(db.get(b"key").unwrap().unwrap(), vec![0x5au8; 4096]);
+
+        let blobs: Vec<String> = env
+            .list_prefix("db/")
+            .unwrap()
+            .into_iter()
+            .filter(|p| p.ends_with(".blob"))
+            .collect();
+        assert_eq!(blobs.len(), 1, "{mode:?}: {blobs:?}");
+        // Offset 1000 lies inside the 4 KiB value, past the record's
+        // varint lengths and 11-byte internal key.
+        env.corrupt_byte(&blobs[0], 1000).unwrap();
+        let err = db.get(b"key").unwrap_err();
+        assert!(
+            matches!(err, scavenger::Error::Corruption(_)),
+            "{mode:?}: {err}"
+        );
     }
 }
