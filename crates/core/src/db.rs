@@ -20,6 +20,15 @@ use scavenger_util::ikey::{SeqNo, ValueRef, ValueType};
 use scavenger_util::{Error, Result};
 use std::sync::Arc;
 
+/// Garbage ratio at which a value file becomes a GC candidate (the
+/// paper's setting: 0.2). Manual [`Db::run_gc_at`] takes any other
+/// threshold.
+pub const GC_THRESHOLD: f64 = 0.2;
+
+/// DropCache capacity in keys (paper §III-B3 budgets ~32 B/key; 64 Ki
+/// keys is the scaled default).
+pub(crate) const DROPCACHE_KEYS: usize = 64 * 1024;
+
 /// One entry produced by a range scan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScanEntry {
@@ -120,7 +129,7 @@ impl Db {
             ValueStore::new(opts.env.clone(), opts.dir.clone(), cache.clone())
                 .with_cache_namespace(cache_ns),
         );
-        let dropcache = Arc::new(DropCache::new(opts.dropcache_keys));
+        let dropcache = Arc::new(DropCache::new(DROPCACHE_KEYS));
         let gc_stats = Arc::new(GcStats::default());
 
         let mut lsm_opts = opts.lsm_options();
@@ -192,7 +201,7 @@ impl Db {
         let throttle = opts
             .shared_throttle
             .clone()
-            .unwrap_or_else(|| Arc::new(Throttle::new(opts.space_limit, opts.throttle_gc_factor)));
+            .unwrap_or_else(|| Arc::new(Throttle::new(opts.space_limit)));
 
         Ok(Db {
             inner: Arc::new(DbInner {
@@ -355,7 +364,7 @@ impl Db {
             return Ok(());
         }
         inner.throttle.note_activation();
-        let aggressive = inner.throttle.aggressive_threshold(inner.opts.gc_threshold);
+        let aggressive = inner.throttle.aggressive_threshold(GC_THRESHOLD);
         for _ in 0..MAX_THROTTLE_ROUNDS {
             let reclaimable = self.throttled_usage().saturating_sub(self.pinned_bytes());
             if !inner.throttle.over_limit(reclaimable) {
@@ -418,7 +427,7 @@ impl Db {
             let before = inner.opts.env.io_stats().snapshot();
             let ran = {
                 let _g = inner.gc_lock.lock();
-                gc.run_once(&inner.lsm, inner.opts.gc_threshold)?
+                gc.run_once(&inner.lsm, GC_THRESHOLD)?
             };
             if ran.is_none() {
                 return Ok(());
@@ -575,9 +584,9 @@ impl Db {
         self.post_write_maintenance()
     }
 
-    /// Run one GC job at the configured threshold.
+    /// Run one GC job at [`GC_THRESHOLD`].
     pub fn run_gc(&self) -> Result<Option<GcOutcome>> {
-        self.run_gc_at(self.inner.opts.gc_threshold)
+        self.run_gc_at(GC_THRESHOLD)
     }
 
     /// Run one GC job at an explicit threshold.
@@ -749,9 +758,6 @@ impl Db {
 /// adapter toolbox applies (`take`, `map`, `collect::<Result<Vec<_>>>`).
 /// After yielding an error the iterator is *fused*: every subsequent
 /// `next` returns `None` — a scan cannot resume past a failed resolve.
-/// [`next_entry`](DbScanIter::next_entry) and
-/// [`collect_n`](DbScanIter::collect_n) are thin wrappers over the
-/// `Iterator` impl.
 pub struct DbScanIter {
     inner: scavenger_lsm::ScanIter,
     db: Arc<DbInner>,
@@ -770,7 +776,7 @@ impl DbScanIter {
     /// Advance the underlying index iterator and resolve the entry's
     /// value through the value store.
     fn resolve_next(&mut self) -> Result<Option<ScanEntry>> {
-        match self.inner.next_entry()? {
+        match self.inner.next().transpose()? {
             Some(e) => {
                 let value = match e.vtype {
                     ValueType::Value => e.value,
@@ -787,18 +793,6 @@ impl DbScanIter {
             }
             None => Ok(None),
         }
-    }
-
-    /// Next entry, or `None` at the end of the range (thin wrapper over
-    /// the [`Iterator`] impl).
-    pub fn next_entry(&mut self) -> Result<Option<ScanEntry>> {
-        self.next().transpose()
-    }
-
-    /// Collect up to `limit` entries (thin wrapper over the [`Iterator`]
-    /// impl).
-    pub fn collect_n(&mut self, limit: usize) -> Result<Vec<ScanEntry>> {
-        self.by_ref().take(limit).collect()
     }
 }
 
@@ -887,8 +881,11 @@ mod tests {
                 db.put(format!("key{i:03}"), value(i, 1500)).unwrap();
             }
             db.flush().unwrap();
-            let mut it = db.scan(b"key010", Some(b"key020")).unwrap();
-            let entries = it.collect_n(usize::MAX).unwrap();
+            let entries: Vec<ScanEntry> = db
+                .scan(b"key010", Some(b"key020"))
+                .unwrap()
+                .collect::<Result<_>>()
+                .unwrap();
             assert_eq!(entries.len(), 10, "{mode:?}");
             for (j, e) in entries.iter().enumerate() {
                 assert_eq!(e.key, format!("key{:03}", j + 10).into_bytes());

@@ -29,7 +29,7 @@
 //! |---|---|---|
 //! | **Read**   | step ① | value-file keys (Lazy Read) or whole records are loaded into the pending batch; Titan's full-file scans fan out across the `gc_threads` pool |
 //! | **GC-Lookup** | step ② | every pending record is validated against the index LSM-tree at each read point |
-//! | **Fetch** | step ③ | surviving values are fetched (lazy); per-file coalesced reads fan out across the `gc_threads` pool, merged in deterministic file order |
+//! | **Fetch** | step ③ | surviving values are fetched (lazy); per-file record reads fan out across the `gc_threads` pool, merged in deterministic file order |
 //! | **Write** | step ④ | survivors are rewritten hot/cold-routed, batched through `VWriter::add_batch` (blocks built per batch, not per record) |
 //! | **Write-Index** | Titan only | new addresses are pushed back through the write path |
 //!
@@ -716,8 +716,9 @@ impl GcRunner {
     /// The Fetch phase (the lazy part of Lazy Read, step ③) for one batch
     /// of surviving records: inline values pass through; handle-locations
     /// are grouped per source file (BTreeMap order keeps the I/O trace
-    /// deterministic), coalesced, and fanned out across the `gc_threads`
-    /// pool — one job per file, results merged back in file order.
+    /// deterministic), sorted by offset, read one record per I/O, and
+    /// fanned out across the `gc_threads` pool — one job per file, results
+    /// merged back in file order.
     fn fetch_values(
         &self,
         readers: &HashMap<u64, VReader>,
@@ -744,21 +745,10 @@ impl GcRunner {
             &self.stats.fetch_parallel_jobs,
             |(file, handles)| {
                 let reader = &readers[file];
-                match reader {
-                    VReader::R(r) => {
-                        let hs: Vec<BlockHandle> = handles.iter().map(|(_, h)| *h).collect();
-                        let recs = r.read_records(&hs, self.features.gc_readahead)?;
-                        Ok(handles
-                            .iter()
-                            .zip(recs)
-                            .map(|((idx, _), (_, value))| (*idx, value))
-                            .collect::<Vec<_>>())
-                    }
-                    _ => handles
-                        .iter()
-                        .map(|(idx, h)| reader.read_record(*h).map(|(_, v)| (*idx, v)))
-                        .collect(),
-                }
+                handles
+                    .iter()
+                    .map(|(idx, h)| reader.read_record(*h).map(|(_, v)| (*idx, v)))
+                    .collect::<Result<Vec<_>>>()
             },
         )?;
         for file_fills in fills {

@@ -6,7 +6,7 @@
 //! |---|---|---|
 //! | step ① **Read**      | load value-file keys (Lazy Read) or whole records | [`parallel_map_ordered`] fans per-file scans across the `gc_threads` pool |
 //! | step ② **GC-Lookup** | validate every pending record against the index   | the *validate* stage of [`run_overlapped`] |
-//! | step ③ **Fetch**     | read the surviving values                         | the *fetch* stage; per-file coalesced reads fan out via [`parallel_map_ordered`] |
+//! | step ③ **Fetch**     | read the surviving values                         | the *fetch* stage; per-file record reads fan out via [`parallel_map_ordered`] |
 //! | step ④ **Write**     | rewrite survivors, hot/cold routed                | the *write* stage; [`RouteWriters`] batches records per route via `VWriter::add_batch` |
 //!
 //! Two orthogonal levers are provided:

@@ -98,9 +98,6 @@ pub struct Features {
     pub hotness: bool,
     /// **C**: Space-aware compaction by compensated size (§III-C).
     pub compensated: bool,
-    /// Readahead (coalesced record fetches) during GC value reads — the
-    /// paper's S-RH variant. Disabled by default for fairness (§IV-A).
-    pub gc_readahead: bool,
 }
 
 impl Features {
@@ -115,7 +112,6 @@ impl Features {
                 dtable_index: false,
                 hotness: false,
                 compensated: false,
-                gc_readahead: false,
             },
             EngineMode::BlobDb => Features {
                 separate: true,
@@ -125,7 +121,6 @@ impl Features {
                 dtable_index: false,
                 hotness: false,
                 compensated: false,
-                gc_readahead: false,
             },
             EngineMode::Titan => Features {
                 separate: true,
@@ -135,7 +130,6 @@ impl Features {
                 dtable_index: false,
                 hotness: false,
                 compensated: false,
-                gc_readahead: false,
             },
             EngineMode::Terark => Features {
                 separate: true,
@@ -145,7 +139,6 @@ impl Features {
                 dtable_index: false,
                 hotness: false,
                 compensated: false,
-                gc_readahead: false,
             },
             EngineMode::Scavenger => Features {
                 separate: true,
@@ -155,7 +148,6 @@ impl Features {
                 dtable_index: true,
                 hotness: true,
                 compensated: true,
-                gc_readahead: false,
             },
         }
     }
@@ -263,8 +255,6 @@ pub struct Options {
     pub sep_threshold: usize,
     /// Target value-SST size (paper: 256 MB; scaled default 1 MiB).
     pub vsst_target_size: u64,
-    /// Garbage-ratio threshold that triggers GC (paper: 0.2).
-    pub gc_threshold: f64,
     /// Max candidate files merged per GC job.
     pub gc_batch_files: usize,
     /// Run GC automatically on the write path when candidates exist.
@@ -279,7 +269,7 @@ pub struct Options {
     pub gc_validate_mode: GcValidateMode,
     /// Worker threads for [`GcValidateMode::Parallel`] validation (and the
     /// `Auto` mode's small-batch path), for fanning the GC Fetch phase's
-    /// per-file coalesced reads out across source files, for Titan's
+    /// per-file record reads out across source files, for Titan's
     /// full-file Read scans, and for [`DbShards`](crate::DbShards)'
     /// cross-shard maintenance fan-out. `1` disables the pool and makes
     /// maintenance fully sequential (deterministic).
@@ -315,8 +305,6 @@ pub struct Options {
     /// Records per pipeline batch when [`gc_pipeline`](Options::gc_pipeline)
     /// is `On`. Smaller batches overlap sooner but amortize less.
     pub gc_pipeline_batch: usize,
-    /// DropCache capacity in keys (paper: ~32 B/key; §III-B3).
-    pub dropcache_keys: usize,
     /// Space limit in bytes; `None` disables space-aware throttling
     /// (paper §III-D). When set, a write that finds the store over the
     /// limit triggers aggressive reclamation — GC at a lowered threshold
@@ -332,23 +320,12 @@ pub struct Options {
     /// assert_eq!(db.stats().throttle_stalls, 0); // far under the quota
     /// ```
     pub space_limit: Option<u64>,
-    /// When throttling, GC threshold is multiplied by this factor
-    /// (aggressive reclamation, §III-D).
-    pub throttle_gc_factor: f64,
     /// Memtable size.
     pub memtable_size: usize,
-    /// L0 file-count compaction trigger.
-    pub l0_trigger: usize,
     /// Base level target bytes (compensated units in Scavenger mode).
     pub base_level_bytes: u64,
-    /// Inter-level multiplier (paper: 10).
-    pub level_multiplier: u64,
     /// Key-SST target size.
     pub ksst_target_size: u64,
-    /// Block size.
-    pub block_size: usize,
-    /// Bloom bits per key (paper: 10).
-    pub bloom_bits_per_key: usize,
     /// Block cache capacity (paper: 1% of dataset).
     pub block_cache_bytes: usize,
     /// Write WAL records.
@@ -426,13 +403,6 @@ macro_rules! knob_setters {
             self
         }
 
-        /// Garbage-ratio threshold that triggers GC (paper: 0.2).
-        #[must_use]
-        pub fn gc_threshold(mut self, v: f64) -> Self {
-            self.$($path).+.gc_threshold = v;
-            self
-        }
-
         /// Max candidate files merged per GC job.
         #[must_use]
         pub fn gc_batch_files(mut self, v: usize) -> Self {
@@ -484,25 +454,11 @@ macro_rules! knob_setters {
             self
         }
 
-        /// DropCache capacity in keys (§III-B3).
-        #[must_use]
-        pub fn dropcache_keys(mut self, v: usize) -> Self {
-            self.$($path).+.dropcache_keys = v;
-            self
-        }
-
         /// Space limit in bytes; `None` disables §III-D throttling. For a
         /// sharded store this is the **global** budget.
         #[must_use]
         pub fn space_limit(mut self, v: Option<u64>) -> Self {
             self.$($path).+.space_limit = v;
-            self
-        }
-
-        /// GC-threshold multiplier while throttling (§III-D).
-        #[must_use]
-        pub fn throttle_gc_factor(mut self, v: f64) -> Self {
-            self.$($path).+.throttle_gc_factor = v;
             self
         }
 
@@ -513,13 +469,6 @@ macro_rules! knob_setters {
             self
         }
 
-        /// L0 file-count compaction trigger.
-        #[must_use]
-        pub fn l0_trigger(mut self, v: usize) -> Self {
-            self.$($path).+.l0_trigger = v;
-            self
-        }
-
         /// Base level target bytes.
         #[must_use]
         pub fn base_level_bytes(mut self, v: u64) -> Self {
@@ -527,31 +476,10 @@ macro_rules! knob_setters {
             self
         }
 
-        /// Inter-level size multiplier (paper: 10).
-        #[must_use]
-        pub fn level_multiplier(mut self, v: u64) -> Self {
-            self.$($path).+.level_multiplier = v;
-            self
-        }
-
         /// Key-SST target size.
         #[must_use]
         pub fn ksst_target_size(mut self, v: u64) -> Self {
             self.$($path).+.ksst_target_size = v;
-            self
-        }
-
-        /// Block size in bytes.
-        #[must_use]
-        pub fn block_size(mut self, v: usize) -> Self {
-            self.$($path).+.block_size = v;
-            self
-        }
-
-        /// Bloom bits per key (paper: 10).
-        #[must_use]
-        pub fn bloom_bits_per_key(mut self, v: usize) -> Self {
-            self.$($path).+.bloom_bits_per_key = v;
             self
         }
 
@@ -693,7 +621,6 @@ impl Options {
             features: Features::for_mode(mode),
             sep_threshold: 512,
             vsst_target_size: 1024 * 1024,
-            gc_threshold: 0.2,
             gc_batch_files: 4,
             auto_gc: true,
             gc_bandwidth_factor: 1.0,
@@ -701,16 +628,10 @@ impl Options {
             gc_threads: 4,
             gc_pipeline: GcPipeline::Auto,
             gc_pipeline_batch: 1024,
-            dropcache_keys: 64 * 1024,
             space_limit: None,
-            throttle_gc_factor: 0.25,
             memtable_size: 256 * 1024,
-            l0_trigger: 4,
             base_level_bytes: 4 * 1024 * 1024,
-            level_multiplier: 10,
             ksst_target_size: 256 * 1024,
-            block_size: 4096,
-            bloom_bits_per_key: 10,
             block_cache_bytes: 1024 * 1024,
             wal: true,
             inline_background: true,
@@ -737,12 +658,8 @@ impl Options {
     pub(crate) fn lsm_options(&self) -> scavenger_lsm::LsmOptions {
         let mut o = scavenger_lsm::LsmOptions::new(self.env.clone(), self.dir.clone());
         o.memtable_size = self.memtable_size;
-        o.l0_trigger = self.l0_trigger;
         o.base_level_bytes = self.base_level_bytes;
-        o.level_multiplier = self.level_multiplier;
         o.target_file_size = self.ksst_target_size;
-        o.block_size = self.block_size;
-        o.bloom_bits_per_key = self.bloom_bits_per_key;
         o.block_cache_bytes = self.block_cache_bytes;
         o.wal = self.wal;
         o.compensated = self.features.compensated;
@@ -790,7 +707,6 @@ mod tests {
         let s = Features::for_mode(EngineMode::Scavenger);
         assert_eq!(s.vformat, VFormat::RTable);
         assert!(s.lazy_read && s.dtable_index && s.hotness && s.compensated);
-        assert!(!s.gc_readahead, "readahead off by default for fairness");
     }
 
     #[test]
@@ -805,9 +721,15 @@ mod tests {
     fn paper_constants_are_defaults() {
         let o = Options::new(MemEnv::shared(), "db", EngineMode::Scavenger);
         assert_eq!(o.sep_threshold, 512);
-        assert!((o.gc_threshold - 0.2).abs() < 1e-9);
-        assert_eq!(o.level_multiplier, 10);
-        assert_eq!(o.bloom_bits_per_key, 10);
+        assert!((crate::db::GC_THRESHOLD - 0.2).abs() < 1e-9);
+        assert!((crate::throttle::THROTTLE_GC_FACTOR - 0.25).abs() < 1e-9);
+        assert_eq!(crate::db::DROPCACHE_KEYS, 64 * 1024);
+        // Values core does not set keep the lsm defaults; the LSM's own
+        // constants are pinned by scavenger-lsm's options test.
+        let l = o.lsm_options();
+        assert_eq!(l.l0_trigger, 4);
+        assert_eq!(l.block_size, 4096);
+        assert_eq!(l.table_options().bloom_bits_per_key, 10);
         assert!(o.space_limit.is_none());
         assert_eq!(o.gc_validate_mode, GcValidateMode::Auto);
         assert!(o.gc_threads >= 1);

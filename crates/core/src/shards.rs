@@ -281,8 +281,8 @@ impl ShardsInner {
 /// db.flush().unwrap();
 /// // Point reads route to one shard; scans merge all shards in key order.
 /// assert_eq!(db.get(b"user07").unwrap().unwrap().len(), 1024);
-/// let mut it = db.scan(b"user00", Some(b"user10")).unwrap();
-/// let entries = it.collect_n(usize::MAX).unwrap();
+/// let it = db.scan(b"user00", Some(b"user10")).unwrap();
+/// let entries: Vec<_> = it.collect::<Result<_, _>>().unwrap();
 /// assert_eq!(entries.len(), 10);
 /// assert!(entries.windows(2).all(|w| w[0].key < w[1].key));
 /// ```
@@ -349,10 +349,7 @@ impl DbShards {
                 opts.base.block_cache_bytes.max(4096),
             ))
         });
-        let throttle = Arc::new(Throttle::new(
-            opts.base.space_limit,
-            opts.base.throttle_gc_factor,
-        ));
+        let throttle = Arc::new(Throttle::new(opts.base.space_limit));
         let shard_prefixes: Vec<String> = (0..meta.shards)
             .map(|i| format!("{}/", shard_dir(&root, i)))
             .collect();
@@ -903,9 +900,7 @@ impl ShardsSnapshot {
 ///
 /// Implements [`Iterator`] over `Result<ScanEntry>` with the same
 /// contract as [`DbScanIter`]: after yielding an error the iterator is
-/// fused. [`next_entry`](ShardsScanIter::next_entry) and
-/// [`collect_n`](ShardsScanIter::collect_n) are thin wrappers over the
-/// `Iterator` impl.
+/// fused.
 pub struct ShardsScanIter {
     iters: Vec<DbScanIter>,
     heads: Vec<Option<ScanEntry>>,
@@ -920,7 +915,7 @@ impl ShardsScanIter {
     fn new(mut iters: Vec<DbScanIter>) -> Result<ShardsScanIter> {
         let mut heads = Vec::with_capacity(iters.len());
         for it in &mut iters {
-            heads.push(it.next_entry()?);
+            heads.push(it.next().transpose()?);
         }
         Ok(ShardsScanIter {
             iters,
@@ -950,7 +945,7 @@ impl ShardsScanIter {
         match min {
             Some(i) => {
                 let out = self.heads[i].take();
-                match self.iters[i].next_entry() {
+                match self.iters[i].next().transpose() {
                     Ok(head) => self.heads[i] = head,
                     Err(e) => self.pending_err = Some(e),
                 }
@@ -958,18 +953,6 @@ impl ShardsScanIter {
             }
             None => Ok(None),
         }
-    }
-
-    /// Next entry in global key order, or `None` when every shard is
-    /// exhausted (thin wrapper over the [`Iterator`] impl).
-    pub fn next_entry(&mut self) -> Result<Option<ScanEntry>> {
-        self.next().transpose()
-    }
-
-    /// Collect up to `limit` entries (thin wrapper over the [`Iterator`]
-    /// impl).
-    pub fn collect_n(&mut self, limit: usize) -> Result<Vec<ScanEntry>> {
-        self.by_ref().take(limit).collect()
     }
 }
 
@@ -1080,8 +1063,7 @@ mod tests {
                 .unwrap();
         }
         db.flush().unwrap();
-        let mut it = db.scan(b"", None).unwrap();
-        let entries = it.collect_n(usize::MAX).unwrap();
+        let entries: Vec<ScanEntry> = db.scan(b"", None).unwrap().collect::<Result<_>>().unwrap();
         assert_eq!(entries.len(), 300);
         for (i, e) in entries.iter().enumerate() {
             assert_eq!(e.key, format!("key{i:04}").into_bytes());

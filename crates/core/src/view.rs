@@ -212,7 +212,7 @@ impl<'a> From<&'a ShardsSnapshot> for ReadPin<'a> {
 ///     fill_cache: false,
 ///     ..ReadOptions::default()
 /// };
-/// let entries = db.scan_with(&ro).unwrap().collect_n(usize::MAX).unwrap();
+/// let entries: Vec<_> = db.scan_with(&ro).unwrap().collect::<Result<_, _>>().unwrap();
 /// assert_eq!(entries.len(), 5);
 /// assert_eq!(entries[0].key, b"key05");
 /// ```

@@ -410,7 +410,7 @@ impl VReader {
             }
             VReader::R(r) => {
                 let mut out = Vec::new();
-                let mut it = r.iter(false);
+                let mut it = r.iter();
                 it.seek_to_first();
                 while it.valid() {
                     out.push(BlobRecord {

@@ -19,7 +19,7 @@ use crate::filename::table_path;
 use crate::hooks::{DropCause, ValueEditBundle, ValueSession};
 use crate::iter::InternalIterator;
 use crate::options::{KTableFormat, LsmOptions};
-use crate::version::{FileMetaData, Version};
+use crate::version::{FileMetaData, Version, NUM_LEVELS};
 use bytes::Bytes;
 use scavenger_env::IoClass;
 use scavenger_table::btable::{BTableBuilder, BuiltTable, TableOptions};
@@ -47,20 +47,21 @@ fn level_units(version: &Version, level: usize, compensated: bool) -> u64 {
     }
 }
 
+/// Size ratio between adjacent levels (the paper's setting: 10).
+pub(crate) const LEVEL_MULTIPLIER: u64 = 10;
+
 /// Compute dynamic level targets from the bottommost level's actual size.
 pub fn compute_targets(version: &Version, opts: &LsmOptions) -> LevelTargets {
-    let num_levels = opts.num_levels;
-    let last = num_levels - 1;
-    let mult = opts.level_multiplier.max(2);
+    let last = NUM_LEVELS - 1;
     let base = opts.base_level_bytes.max(1);
-    let mut targets = vec![0u64; num_levels];
+    let mut targets = vec![0u64; NUM_LEVELS];
     // The last level's "target" is its actual size: it is never a
     // compaction source by score.
     let last_size = level_units(version, last, opts.compensated);
     targets[last] = last_size.max(base);
     let mut base_level = last;
-    while base_level > 1 && targets[base_level] / mult >= base {
-        targets[base_level - 1] = targets[base_level] / mult;
+    while base_level > 1 && targets[base_level] / LEVEL_MULTIPLIER >= base {
+        targets[base_level - 1] = targets[base_level] / LEVEL_MULTIPLIER;
         base_level -= 1;
     }
     LevelTargets {
@@ -147,7 +148,7 @@ pub fn pick_compaction(
     state: &mut PickerState,
 ) -> Option<Compaction> {
     let targets = compute_targets(version, opts);
-    let last = opts.num_levels - 1;
+    let last = NUM_LEVELS - 1;
 
     // Score every candidate source level.
     let mut best: Option<(f64, usize)> = None;
@@ -181,7 +182,7 @@ pub fn pick_compaction(
         let output_level = targets.base_level;
         let (lo, hi) = user_range_of(&inputs_lo);
         let inputs_hi = version.overlapping_files(output_level, Some(&lo), Some(&hi));
-        let bottommost = (output_level + 1..opts.num_levels).all(|l| version.levels[l].is_empty());
+        let bottommost = (output_level + 1..NUM_LEVELS).all(|l| version.levels[l].is_empty());
         return Some(Compaction {
             level: 0,
             output_level,
@@ -216,7 +217,7 @@ pub fn pick_compaction(
     let output_level = (level + 1).min(last);
     let (lo, hi) = user_range_of(std::slice::from_ref(&victim));
     let inputs_hi = version.overlapping_files(output_level, Some(&lo), Some(&hi));
-    let bottommost = (output_level + 1..opts.num_levels).all(|l| version.levels[l].is_empty());
+    let bottommost = (output_level + 1..NUM_LEVELS).all(|l| version.levels[l].is_empty());
     Some(Compaction {
         level,
         output_level,

@@ -27,6 +27,9 @@ pub enum BackgroundMode {
     Threaded,
 }
 
+/// Bloom-filter bits per key in every key SST (the paper's setting: 10).
+pub(crate) const BLOOM_BITS_PER_KEY: usize = 10;
+
 /// Options for opening an [`Lsm`](crate::db::Lsm).
 #[derive(Clone)]
 pub struct LsmOptions {
@@ -41,16 +44,10 @@ pub struct LsmOptions {
     /// `max_bytes_for_level_base`: target size of the base level
     /// (interpreted in *compensated* units when `compensated` is set).
     pub base_level_bytes: u64,
-    /// Inter-level size multiplier (paper default: 10).
-    pub level_multiplier: u64,
-    /// Number of levels (RocksDB default: 7).
-    pub num_levels: usize,
     /// Target key-SST file size for compaction outputs.
     pub target_file_size: u64,
     /// Data block size for key SSTs.
     pub block_size: usize,
-    /// Bloom bits per key.
-    pub bloom_bits_per_key: usize,
     /// Key SST format.
     pub ktable_format: KTableFormat,
     /// Score compaction by compensated size (paper §III-C) instead of raw
@@ -69,8 +66,6 @@ pub struct LsmOptions {
     pub wal: bool,
     /// Background execution mode.
     pub background: BackgroundMode,
-    /// Max immutable memtables before writes stall (Threaded mode).
-    pub max_imm_memtables: usize,
     /// How many times a *transient* background-job failure (flush,
     /// compaction) is retried before the engine degrades to read-only
     /// mode. Permanent failures (e.g. corruption) degrade immediately.
@@ -81,14 +76,6 @@ pub struct LsmOptions {
     /// Value-store hook invoked by flush and compaction (KV separation,
     /// drop observation, BlobDB-style relocation). `None` = vanilla LSM.
     pub value_hook: Option<Arc<dyn ValueHook>>,
-    /// Install superversions copy-on-write: each structural mutation
-    /// swaps only the member it changed (active memtable, immutable
-    /// list, or SST version) into a new bundle cloned from the current
-    /// one, instead of rebuilding the whole bundle from the live
-    /// structures under their locks. Produces bit-identical bundles;
-    /// `false` selects the full-rebuild reference path (kept for
-    /// equivalence tests and the install-cost microbench).
-    pub cow_superversion: bool,
     /// Change-data-capture WAL retention budget, in bytes. Closed WAL
     /// segments are catalogued for subscriber catch-up instead of
     /// deleted, up to this many bytes of *speculative* history (history
@@ -114,11 +101,8 @@ impl LsmOptions {
             memtable_size: 256 * 1024,
             l0_trigger: 4,
             base_level_bytes: 4 * 1024 * 1024,
-            level_multiplier: 10,
-            num_levels: 7,
             target_file_size: 256 * 1024,
             block_size: 4096,
-            bloom_bits_per_key: 10,
             ktable_format: KTableFormat::BTable,
             compensated: false,
             block_cache: None,
@@ -126,11 +110,9 @@ impl LsmOptions {
             block_cache_bytes: 1024 * 1024,
             wal: true,
             background: BackgroundMode::Inline,
-            max_imm_memtables: 2,
             bg_retry_limit: 3,
             bg_retry_base: std::time::Duration::from_millis(10),
             value_hook: None,
-            cow_superversion: true,
             cdc_retention: 0,
             cdc_ring_bytes: 1024 * 1024,
         }
@@ -141,7 +123,7 @@ impl LsmOptions {
         scavenger_table::btable::TableOptions {
             block_size: self.block_size,
             restart_interval: 16,
-            bloom_bits_per_key: self.bloom_bits_per_key,
+            bloom_bits_per_key: BLOOM_BITS_PER_KEY,
             cmp: scavenger_table::KeyCmp::Internal,
             index_partition_size: 2048,
         }
@@ -157,11 +139,15 @@ mod tests {
     fn defaults_are_scaled_per_design_doc() {
         let opts = LsmOptions::new(MemEnv::shared(), "db");
         assert_eq!(opts.memtable_size, 256 * 1024);
-        assert_eq!(opts.level_multiplier, 10);
-        assert_eq!(opts.num_levels, 7);
         assert_eq!(opts.l0_trigger, 4);
+        assert_eq!(opts.block_size, 4096);
         assert!(opts.wal);
         assert_eq!(opts.background, BackgroundMode::Inline);
         assert_eq!(opts.table_options().bloom_bits_per_key, 10);
+        // Paper constants with no second value live as consts.
+        assert_eq!(crate::compaction::LEVEL_MULTIPLIER, 10);
+        assert_eq!(BLOOM_BITS_PER_KEY, 10);
+        assert_eq!(crate::version::NUM_LEVELS, 7);
+        assert_eq!(crate::db::MAX_IMM_MEMTABLES, 2);
     }
 }

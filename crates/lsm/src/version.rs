@@ -253,6 +253,10 @@ impl VersionEdit {
     }
 }
 
+/// Levels in every version of the tree (RocksDB's default, which the
+/// paper's engines all keep: 7).
+pub(crate) const NUM_LEVELS: usize = 7;
+
 /// Immutable snapshot of the LSM-tree's file layout.
 #[derive(Debug, Clone)]
 pub struct Version {
@@ -383,7 +387,6 @@ impl Version {
 pub struct VersionSet {
     env: EnvRef,
     dir: String,
-    num_levels: usize,
     current: Arc<Version>,
     next_file: Arc<AtomicU64>,
     last_seq: Arc<AtomicU64>,
@@ -415,9 +418,9 @@ pub struct RecoveredState {
 
 impl VersionSet {
     /// Open or create the version set in `dir`.
-    pub fn open(env: EnvRef, dir: &str, num_levels: usize) -> Result<RecoveredState> {
+    pub fn open(env: EnvRef, dir: &str) -> Result<RecoveredState> {
         env.create_dir_all(dir)?;
-        let mut version = Version::empty(num_levels);
+        let mut version = Version::empty(NUM_LEVELS);
         let mut next_file: u64 = 1;
         let mut last_seq: SeqNo = 0;
         let mut log_number: u64 = 0;
@@ -505,7 +508,6 @@ impl VersionSet {
             vset: VersionSet {
                 env,
                 dir: dir.to_string(),
-                num_levels,
                 current,
                 next_file: Arc::new(AtomicU64::new(next_file)),
                 last_seq: Arc::new(AtomicU64::new(last_seq)),
@@ -523,11 +525,6 @@ impl VersionSet {
     /// The live version.
     pub fn current(&self) -> Arc<Version> {
         self.current.clone()
-    }
-
-    /// Number of configured levels.
-    pub fn num_levels(&self) -> usize {
-        self.num_levels
     }
 
     /// Shared next-file-number counter (for
@@ -647,7 +644,7 @@ impl VersionSet {
                 "manifest {mpath} has a corrupt record"
             )));
         }
-        let mut version = Version::empty(self.num_levels);
+        let mut version = Version::empty(NUM_LEVELS);
         for rec in records {
             let edit = VersionEdit::decode(&rec)?;
             version = version.apply(&edit)?;
@@ -802,7 +799,7 @@ mod tests {
         let env = MemEnv::shared();
         let eref: EnvRef = env.clone();
         {
-            let rec = VersionSet::open(eref.clone(), "db", 7).unwrap();
+            let rec = VersionSet::open(eref.clone(), "db").unwrap();
             let mut vset = rec.vset;
             assert!(rec.value_replay.is_empty());
             let n1 = vset.new_file_number();
@@ -823,7 +820,7 @@ mod tests {
             vset.log_and_apply(edit2).unwrap();
         }
         // Reopen: file layout, counters, and value history must survive.
-        let rec = VersionSet::open(eref, "db", 7).unwrap();
+        let rec = VersionSet::open(eref, "db").unwrap();
         assert_eq!(rec.vset.current().num_files(0), 1);
         assert_eq!(rec.vset.last_sequence(), 500);
         assert_eq!(rec.value_replay.len(), 2);
@@ -838,7 +835,7 @@ mod tests {
         let env = MemEnv::shared();
         let eref: EnvRef = env.clone();
         {
-            let mut vset = VersionSet::open(eref.clone(), "db", 7).unwrap().vset;
+            let mut vset = VersionSet::open(eref.clone(), "db").unwrap().vset;
             let mut edit = VersionEdit::default();
             edit.value.new_files.push(NewValueFile {
                 file: 5,
@@ -851,7 +848,7 @@ mod tests {
             vset.log_and_apply(edit).unwrap();
         }
         for _ in 0..3 {
-            let rec = VersionSet::open(eref.clone(), "db", 7).unwrap();
+            let rec = VersionSet::open(eref.clone(), "db").unwrap();
             assert_eq!(rec.value_replay.len(), 1, "history must not duplicate");
         }
     }
@@ -860,7 +857,7 @@ mod tests {
     fn corrupt_current_is_reported() {
         let env = MemEnv::shared();
         let eref: EnvRef = env.clone();
-        let _ = VersionSet::open(eref.clone(), "db", 7).unwrap();
+        let _ = VersionSet::open(eref.clone(), "db").unwrap();
         // Overwrite CURRENT with garbage.
         {
             let mut w = eref
@@ -869,7 +866,7 @@ mod tests {
             w.append(b"not-a-manifest-name").unwrap();
             w.sync().unwrap();
         }
-        assert!(VersionSet::open(eref, "db", 7).is_err());
+        assert!(VersionSet::open(eref, "db").is_err());
     }
 
     #[test]
@@ -878,7 +875,7 @@ mod tests {
         let eref: EnvRef = env.clone();
         let manifest_path_str;
         {
-            let mut vset = VersionSet::open(eref.clone(), "db", 7).unwrap().vset;
+            let mut vset = VersionSet::open(eref.clone(), "db").unwrap().vset;
             manifest_path_str = manifest_path("db", vset.manifest_number());
             let mut e1 = VersionEdit::default();
             e1.added.push((0, meta(vset.new_file_number(), b"a", b"m")));
@@ -892,7 +889,7 @@ mod tests {
         env.truncate_file(&manifest_path_str, len - 3).unwrap();
         // Recovery keeps the intact prefix: at least the first add-file
         // edit survives; the torn one is dropped cleanly.
-        let rec = VersionSet::open(eref, "db", 7).unwrap();
+        let rec = VersionSet::open(eref, "db").unwrap();
         let files = rec.vset.current().num_files(0);
         assert!(files >= 1, "prefix edits recovered, got {files} files");
         assert!(files <= 2);
@@ -902,7 +899,7 @@ mod tests {
     fn current_pointer_is_atomic_swap() {
         let env = MemEnv::shared();
         let eref: EnvRef = env.clone();
-        let _ = VersionSet::open(eref.clone(), "db", 7).unwrap();
+        let _ = VersionSet::open(eref.clone(), "db").unwrap();
         let cur = eref
             .read_file(&current_path("db"), IoClass::Manifest)
             .unwrap();

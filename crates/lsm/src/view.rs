@@ -58,11 +58,11 @@ pub struct SuperVersion {
 
 impl SuperVersion {
     /// An empty superversion (fresh tree).
-    pub(crate) fn empty(num_levels: usize) -> SuperVersion {
+    pub(crate) fn empty() -> SuperVersion {
         SuperVersion {
             mem: Arc::new(Memtable::new()),
             imms: Vec::new(),
-            version: Arc::new(Version::empty(num_levels)),
+            version: Arc::new(Version::empty(crate::version::NUM_LEVELS)),
         }
     }
 }
@@ -556,8 +556,8 @@ pub(crate) fn scan_superversion(
 /// superversion it iterates (so lazily-opened table files cannot be
 /// purged mid-scan) and, when opened from a view, its own read-point pin.
 ///
-/// Also implements [`Iterator`] over `Result<UserEntry>` (fusing after
-/// the first error or end-of-range), mirroring the engine-level scan
+/// Implements [`Iterator`] over `Result<UserEntry>` (fusing after the
+/// first error or end-of-range), mirroring the engine-level scan
 /// iterators built on top of it.
 pub struct ScanIter {
     inner: DbIter,
@@ -581,12 +581,6 @@ impl ScanIter {
             }
             None => Ok(None),
         }
-    }
-
-    /// Next visible entry, or `None` past the bound / end of data (thin
-    /// wrapper over the [`Iterator`] impl, sharing its fuse).
-    pub fn next_entry(&mut self) -> Result<Option<UserEntry>> {
-        self.next().transpose()
     }
 }
 

@@ -382,58 +382,10 @@ impl RTableReader {
         )
     }
 
-    /// Fetch many records by handle. With `coalesce`, handles within
-    /// `COALESCE_SPAN` of each other are fetched in one I/O (the paper's
-    /// GC readahead, S-RH); records are verified individually either way.
-    /// Handles must be sorted by offset for coalescing to help.
-    pub fn read_records(
-        &self,
-        handles: &[BlockHandle],
-        coalesce: bool,
-    ) -> Result<Vec<(Vec<u8>, Bytes)>> {
-        let mut out = Vec::with_capacity(handles.len());
-        if !coalesce {
-            for h in handles {
-                out.push(self.read_record(*h)?);
-            }
-            return Ok(out);
-        }
-        let mut i = 0;
-        while i < handles.len() {
-            // Grow a span of nearby records.
-            let start = handles[i].offset;
-            let mut j = i;
-            let mut end = handles[i].offset + handles[i].size + BLOCK_TRAILER_LEN as u64;
-            while j + 1 < handles.len() {
-                let next = handles[j + 1];
-                let next_end = next.offset + next.size + BLOCK_TRAILER_LEN as u64;
-                if next.offset >= end && next_end - start <= COALESCE_SPAN {
-                    end = next_end;
-                    j += 1;
-                } else if next.offset < end {
-                    // Overlapping/duplicate handle: keep within span.
-                    j += 1;
-                } else {
-                    break;
-                }
-            }
-            let buf = self.fetcher.file.read_at(start, (end - start) as usize)?;
-            for h in &handles[i..=j] {
-                let off = (h.offset - start) as usize;
-                let raw = buf.slice(off..off + h.size as usize + BLOCK_TRAILER_LEN);
-                let payload = crate::blockio::verify_block(&raw, *h)?;
-                out.push(decode_record(&payload)?);
-            }
-            i = j + 1;
-        }
-        Ok(out)
-    }
-
     /// Full scan in key order. Reads the dense index lazily and fetches
-    /// each record. `coalesce` hands adjacent records to the reader in one
-    /// I/O (the paper's readahead toggle, S-RH). The iterator owns its
-    /// fetcher, so it carries no lifetime.
-    pub fn iter(&self, coalesce: bool) -> RTableIter {
+    /// each record with its own read. The iterator owns its fetcher, so
+    /// it carries no lifetime.
+    pub fn iter(&self) -> RTableIter {
         RTableIter {
             fetcher: self.fetcher.clone(),
             top_index: self.top_index.clone(),
@@ -441,8 +393,6 @@ impl RTableReader {
             entries: None,
             pos: 0,
             current: None,
-            coalesce,
-            buffer: None,
             error: None,
         }
     }
@@ -456,14 +406,8 @@ pub struct RTableIter {
     entries: Option<Vec<(Vec<u8>, BlockHandle)>>,
     pos: usize,
     current: Option<(Vec<u8>, Bytes)>,
-    coalesce: bool,
-    /// `(file_offset, bytes)` of a read-ahead span covering ≥1 records.
-    buffer: Option<(u64, Bytes)>,
     error: Option<Error>,
 }
-
-/// Max bytes fetched per coalesced read.
-const COALESCE_SPAN: u64 = 256 * 1024;
 
 impl RTableIter {
     fn ensure_index(&mut self) {
@@ -485,44 +429,11 @@ impl RTableIter {
             return;
         }
         let (key, handle) = entries[self.pos].clone();
-        let total = handle.size + BLOCK_TRAILER_LEN as u64;
-        let payload = if self.coalesce {
-            // Serve from the readahead buffer, refilling as needed.
-            let hit = self
-                .buffer
-                .as_ref()
-                .map(|(off, buf)| {
-                    handle.offset >= *off && handle.offset + total <= *off + buf.len() as u64
-                })
-                .unwrap_or(false);
-            if !hit {
-                let span_end = (handle.offset + COALESCE_SPAN).min(self.fetcher.file.len());
-                let len = (span_end - handle.offset).max(total) as usize;
-                match self.fetcher.file.read_at(handle.offset, len) {
-                    Ok(buf) => self.buffer = Some((handle.offset, buf)),
-                    Err(e) => {
-                        self.error = Some(e);
-                        return;
-                    }
-                }
-            }
-            let (off, buf) = self.buffer.as_ref().unwrap();
-            let start = (handle.offset - off) as usize;
-            let raw = buf.slice(start..start + total as usize);
-            match crate::blockio::verify_block(&raw, handle) {
-                Ok(p) => p,
-                Err(e) => {
-                    self.error = Some(e);
-                    return;
-                }
-            }
-        } else {
-            match read_block(self.fetcher.file.as_ref(), handle) {
-                Ok(p) => p,
-                Err(e) => {
-                    self.error = Some(e);
-                    return;
-                }
+        let payload = match read_block(self.fetcher.file.as_ref(), handle) {
+            Ok(p) => p,
+            Err(e) => {
+                self.error = Some(e);
+                return;
             }
         };
         match decode_record(&payload) {
@@ -694,55 +605,21 @@ mod tests {
     }
 
     #[test]
-    fn iter_scans_in_order_both_modes() {
+    fn iter_scans_in_order() {
         let env = MemEnv::new();
         let es = entries(150, 512);
         build(&env, "v.vsst", &es);
         let r = open(&env, "v.vsst");
-        for coalesce in [false, true] {
-            let mut it = r.iter(coalesce);
-            it.seek_to_first();
-            for (k, v) in &es {
-                assert!(it.valid(), "coalesce={coalesce}");
-                assert_eq!(it.key(), k.as_slice());
-                assert_eq!(&it.value()[..], v.as_slice());
-                it.next();
-            }
-            assert!(!it.valid());
-            it.status().unwrap();
-        }
-    }
-
-    #[test]
-    fn coalesced_iteration_uses_fewer_read_ops() {
-        let env = MemEnv::new();
-        let es = entries(400, 256);
-        build(&env, "v.vsst", &es);
-        let r = open(&env, "v.vsst");
-
-        let before = env.io_stats().snapshot();
-        let mut it = r.iter(false);
+        let mut it = r.iter();
         it.seek_to_first();
-        while it.valid() {
+        for (k, v) in &es {
+            assert!(it.valid());
+            assert_eq!(it.key(), k.as_slice());
+            assert_eq!(&it.value()[..], v.as_slice());
             it.next();
         }
-        let per_record = env.io_stats().snapshot().delta(&before);
-
-        let before = env.io_stats().snapshot();
-        let mut it = r.iter(true);
-        it.seek_to_first();
-        while it.valid() {
-            it.next();
-        }
-        let coalesced = env.io_stats().snapshot().delta(&before);
-
-        assert!(
-            coalesced.class(IoClass::FgValueRead).read_ops * 4
-                < per_record.class(IoClass::FgValueRead).read_ops,
-            "coalesced {} vs per-record {}",
-            coalesced.class(IoClass::FgValueRead).read_ops,
-            per_record.class(IoClass::FgValueRead).read_ops
-        );
+        assert!(!it.valid());
+        it.status().unwrap();
     }
 
     #[test]
@@ -751,7 +628,7 @@ mod tests {
         let es = entries(100, 32);
         build(&env, "v.vsst", &es);
         let r = open(&env, "v.vsst");
-        let mut it = r.iter(false);
+        let mut it = r.iter();
         it.seek(b"user000050");
         assert!(it.valid());
         assert_eq!(it.key(), b"user000050");
@@ -794,38 +671,6 @@ mod tests {
         assert!(RTableReader::open(file, 1, None, KeyCmp::Bytewise).is_err());
     }
 
-    #[test]
-    fn read_records_coalesced_equals_individual() {
-        let env = MemEnv::new();
-        let es = entries(300, 700);
-        build(&env, "v.vsst", &es);
-        let r = open(&env, "v.vsst");
-        let index = r.read_index().unwrap();
-        // Every third record, sorted by offset (as GC does).
-        let mut handles: Vec<BlockHandle> = index.iter().step_by(3).map(|(_, h)| *h).collect();
-        handles.sort_by_key(|h| h.offset);
-        let a = &r;
-        let individual = a.read_records(&handles, false).unwrap();
-        let coalesced = a.read_records(&handles, true).unwrap();
-        assert_eq!(individual.len(), coalesced.len());
-        for (x, y) in individual.iter().zip(coalesced.iter()) {
-            assert_eq!(x.0, y.0);
-            assert_eq!(x.1, y.1);
-        }
-        // Coalescing must use strictly fewer read ops.
-        let before = env.io_stats().snapshot();
-        a.read_records(&handles, false).unwrap();
-        let mid = env.io_stats().snapshot();
-        a.read_records(&handles, true).unwrap();
-        let after = env.io_stats().snapshot();
-        let ind_ops = mid.delta(&before).total_read_ops();
-        let coa_ops = after.delta(&mid).total_read_ops();
-        assert!(
-            coa_ops < ind_ops,
-            "coalesced {coa_ops} vs individual {ind_ops}"
-        );
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
         #[test]
@@ -864,7 +709,7 @@ mod tests {
         let r = open(&env, "v.vsst");
         assert!(r.read_index().unwrap().is_empty());
         assert!(r.get(b"x").unwrap().is_none());
-        let mut it = r.iter(false);
+        let mut it = r.iter();
         it.seek_to_first();
         assert!(!it.valid());
     }

@@ -49,7 +49,7 @@ fn main() -> scavenger::Result<()> {
     // A scan merges every shard's iterator into one global key order.
     let mut it = db.scan(b"user:0010", Some(b"user:0015"))?;
     println!("-- merged scan [user:0010, user:0015) --");
-    while let Some(e) = it.next_entry()? {
+    while let Some(e) = it.next().transpose()? {
         println!(
             "{} ({} bytes, shard {})",
             String::from_utf8_lossy(&e.key),

@@ -1,43 +1,14 @@
 //! `Iterator` conformance for the engine scan iterators ([`DbScanIter`]
 //! and the sharded merge iterator): bound handling through the adapter
-//! toolbox, early termination via `take`, error propagation (an errored
-//! iterator yields `Some(Err)` once, then fuses to `None`), and
-//! `collect_n` / `next_entry` equivalence with the `Iterator` impl on
+//! toolbox, early termination via `take`, and error propagation (an
+//! errored iterator yields `Some(Err)` once, then fuses to `None`) on
 //! both handle types.
+//!
+//! [`DbScanIter`]: scavenger::DbScanIter
 
-use scavenger::shards::ShardsScanIter;
 use scavenger::{
-    Db, DbScanIter, DbShards, Engine, EngineMode, EnvRef, MemEnv, Options, Result, ScanEntry,
-    ShardedOptions,
+    Db, DbShards, Engine, EngineMode, EnvRef, MemEnv, Options, Result, ScanEntry, ShardedOptions,
 };
-
-/// Test-local bridge over the two concrete iterators' legacy entry
-/// points, so the generic contract check can compare them against the
-/// `Iterator` surface on both handle types.
-trait EntryIter: Iterator<Item = Result<ScanEntry>> {
-    fn entry(&mut self) -> Result<Option<ScanEntry>>;
-    fn first_n(&mut self, n: usize) -> Result<Vec<ScanEntry>>;
-}
-
-impl EntryIter for DbScanIter {
-    fn entry(&mut self) -> Result<Option<ScanEntry>> {
-        DbScanIter::next_entry(self)
-    }
-
-    fn first_n(&mut self, n: usize) -> Result<Vec<ScanEntry>> {
-        DbScanIter::collect_n(self, n)
-    }
-}
-
-impl EntryIter for ShardsScanIter {
-    fn entry(&mut self) -> Result<Option<ScanEntry>> {
-        ShardsScanIter::next_entry(self)
-    }
-
-    fn first_n(&mut self, n: usize) -> Result<Vec<ScanEntry>> {
-        ShardsScanIter::collect_n(self, n)
-    }
-}
 
 fn key(i: usize) -> String {
     format!("key{i:04}")
@@ -75,14 +46,9 @@ fn load<E: Engine>(db: &E, n: usize) {
     db.flush().unwrap();
 }
 
-/// Generic over both handles: iterator results honor scan bounds, agree
-/// with `collect_n` and `next_entry`, and `take` terminates early
-/// without draining the range.
-fn check_iterator_contract<E>(db: &E)
-where
-    E: Engine,
-    E::Iter: EntryIter,
-{
+/// Generic over both handles: iterator results honor scan bounds, and
+/// `take` terminates early without draining the range.
+fn check_iterator_contract<E: Engine>(db: &E) {
     load(db, 60);
 
     // Bounds: lower inclusive, upper exclusive, in global key order.
@@ -123,30 +89,10 @@ where
     assert_eq!(first.len(), 2);
     assert_eq!(next.key, key(2).into_bytes());
 
-    // collect_n is equivalent to take+collect on a fresh iterator.
-    let via_collect_n = db.scan(b"", None).unwrap().first_n(7).unwrap();
-    let via_take: Vec<ScanEntry> = db
-        .scan(b"", None)
-        .unwrap()
-        .take(7)
-        .collect::<Result<_>>()
-        .unwrap();
-    assert_eq!(via_collect_n, via_take);
-
-    // next_entry is a thin wrapper over Iterator::next.
-    let mut a = db.scan(b"key0005", Some(b"key0008")).unwrap();
-    let mut b = db.scan(b"key0005", Some(b"key0008")).unwrap();
-    loop {
-        let ea = a.entry().unwrap();
-        let eb = b.next().transpose().unwrap();
-        assert_eq!(ea, eb);
-        if ea.is_none() {
-            break;
-        }
-    }
-    // Exhausted iterators stay exhausted through both surfaces.
-    assert!(a.entry().unwrap().is_none());
-    assert!(b.next().is_none());
+    // Exhausted iterators stay exhausted.
+    let mut it = db.scan(b"key0005", Some(b"key0008")).unwrap();
+    assert_eq!(it.by_ref().count(), 3);
+    assert!(it.next().is_none());
 }
 
 #[test]
@@ -191,13 +137,13 @@ fn errored_db_iterator_yields_err_then_fuses() {
     );
     assert!(it.next().is_none(), "errored iterator must fuse");
     assert!(it.next().is_none(), "fused means fused");
-    // The wrappers see the same fused state.
-    assert!(it.next_entry().unwrap().is_none());
-    assert!(it.collect_n(10).unwrap().is_empty());
-
-    // A fresh iterator errors again through next_entry/collect_n too.
-    assert!(db.scan(b"", None).unwrap().next_entry().is_err());
-    assert!(db.scan(b"", None).unwrap().collect_n(5).is_err());
+    // A fresh iterator errors again, also through a bounded collect.
+    assert!(db
+        .scan(b"", None)
+        .unwrap()
+        .take(5)
+        .collect::<Result<Vec<_>>>()
+        .is_err());
 }
 
 /// A refill failure after a head has been popped must not drop the
@@ -250,7 +196,7 @@ fn merge_refill_error_does_not_drop_resolved_entry() {
     // ...then the deferred refill error surfaces, and the iterator fuses.
     assert!(matches!(it.next(), Some(Err(_))));
     assert!(it.next().is_none());
-    assert!(it.next_entry().unwrap().is_none());
+    assert!(it.next().is_none(), "fused means fused");
 }
 
 #[test]
@@ -269,7 +215,7 @@ fn errored_shards_iterator_yields_err_then_fuses() {
         Ok(mut it) => {
             assert!(matches!(it.next(), Some(Err(_))));
             assert!(it.next().is_none(), "errored merge iterator must fuse");
-            assert!(it.next_entry().unwrap().is_none());
+            assert!(it.next().is_none(), "fused means fused");
         }
     }
 }

@@ -366,6 +366,55 @@ fn degraded_mode_serves_reads_and_resume_restores_writes() {
     );
 }
 
+/// A threaded-mode writer stalled on the immutable-memtable backlog must
+/// fail fast once the engine degrades: flushes have stopped, so the
+/// backlog never shrinks and waiting for it would block forever.
+#[test]
+fn stalled_writer_fails_fast_when_engine_degrades() {
+    let fault = FaultEnv::wrap(MemEnv::shared(), 0xfee3);
+    let env: EnvRef = fault.clone();
+    let mut o = Options::new(env, "db", EngineMode::Scavenger);
+    o.inline_background = false;
+    o.memtable_size = 16 * 1024;
+    o.bg_retry_limit = 3;
+    o.bg_retry_base = std::time::Duration::from_millis(100);
+    let db = Db::open(o).unwrap();
+    // No key SST can be opened: every flush fails, retries, and finally
+    // degrades the engine while the writer below is stalled.
+    fault.add_rule(FaultRule {
+        path_contains: Some(".sst".to_string()),
+        ..FaultRule::fail(FaultOp::Open)
+    });
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let writer = db.clone();
+    let handle = std::thread::spawn(move || {
+        let mut result = Ok(());
+        for i in 0..100_000u32 {
+            if let Err(e) = writer.put(crash::key_bytes(i), crash::value_bytes(i, 1, 700)) {
+                result = Err(e);
+                break;
+            }
+        }
+        let _ = tx.send(result);
+    });
+    let result = rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("stalled writer must return once the engine degrades");
+    handle.join().unwrap();
+    let err = result.expect_err("writes cannot all succeed with flushes failing");
+    assert!(err.is_read_only(), "got {err}");
+    assert!(db.is_degraded());
+    assert!(
+        db.lsm()
+            .counters()
+            .stalls
+            .load(std::sync::atomic::Ordering::Relaxed)
+            >= 1,
+        "the writer must have gone through the stall"
+    );
+}
+
 /// Same availability contract on the sharded handle, driven through the
 /// unified `Maintenance` trait (`resume` is part of the engine
 /// surface).

@@ -21,12 +21,11 @@ impl KvStore for Store<'_> {
         self.0.delete(key).map(|_| ())
     }
     fn scan(&self, start: &[u8], limit: usize) -> scavenger::Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let mut it = self.0.scan(start, None)?;
-        Ok(it
-            .collect_n(limit)?
-            .into_iter()
-            .map(|e| (e.key, e.value.to_vec()))
-            .collect())
+        self.0
+            .scan(start, None)?
+            .take(limit)
+            .map(|e| e.map(|e| (e.key, e.value.to_vec())))
+            .collect()
     }
 }
 
@@ -129,8 +128,8 @@ fn scan_ranges_are_exact_across_modes() {
             db.put(format!("k{i:04}"), vec![7u8; 1500]).unwrap();
         }
         db.flush().unwrap();
-        let mut it = db.scan(b"k0020", Some(b"k0030")).unwrap();
-        let got = it.collect_n(usize::MAX).unwrap();
+        let it = db.scan(b"k0020", Some(b"k0030")).unwrap();
+        let got: Vec<_> = it.collect::<scavenger::Result<_>>().unwrap();
         assert_eq!(got.len(), 10, "{mode:?}");
         assert_eq!(got[0].key, b"k0020".to_vec());
         assert_eq!(got[9].key, b"k0029".to_vec());

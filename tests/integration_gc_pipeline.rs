@@ -42,7 +42,7 @@ type FileSet = Vec<(u64, bool, u64, u64)>;
 fn surviving_records(db: &Db, snap: Option<&scavenger::Snapshot>) -> Vec<Survivor> {
     let mut out = Vec::new();
     let mut it = db.scan(b"", None).unwrap();
-    while let Some(e) = it.next_entry().unwrap() {
+    while let Some(e) = it.next().transpose().unwrap() {
         // Pinned read through the snapshot when one is held; otherwise
         // the latest state (nothing writes concurrently here, so that
         // is the same epoch the scan observed).

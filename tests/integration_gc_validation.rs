@@ -33,7 +33,7 @@ type Survivor = (Vec<u8>, Vec<u8>, Option<Vec<u8>>);
 fn surviving_records(db: &Db, snap: Option<&scavenger::Snapshot>) -> Vec<Survivor> {
     let mut out = Vec::new();
     let mut it = db.scan(b"", None).unwrap();
-    while let Some(e) = it.next_entry().unwrap() {
+    while let Some(e) = it.next().transpose().unwrap() {
         // Pinned read through the snapshot when one is held; the latest
         // state otherwise (nothing writes concurrently here).
         let snap_view = match snap {

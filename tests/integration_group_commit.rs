@@ -96,7 +96,7 @@ fn stress_round(threads: usize, per_thread: usize) -> scavenger::DbStats {
     // No invented keys either: the scan sees exactly the written set.
     let mut it = db.scan(b"", None).unwrap();
     let mut n = 0usize;
-    while it.next_entry().unwrap().is_some() {
+    while it.next().transpose().unwrap().is_some() {
         n += 1;
     }
     assert_eq!(n, threads * per_thread * 2, "scan key count mismatch");

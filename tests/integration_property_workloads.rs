@@ -53,7 +53,7 @@ fn check_model(db: &Db, model: &BTreeMap<Vec<u8>, Vec<u8>>) {
     // A full scan agrees with the model.
     let mut it = db.scan(b"", None).unwrap();
     let mut scanned = Vec::new();
-    while let Some(e) = it.next_entry().unwrap() {
+    while let Some(e) = it.next().transpose().unwrap() {
         scanned.push((e.key, e.value.to_vec()));
     }
     let expected: Vec<(Vec<u8>, Vec<u8>)> =

@@ -152,13 +152,13 @@ impl Engine {
         match self {
             Engine::Single(db) => {
                 let mut it = db.scan(lo, hi).unwrap();
-                while let Some(e) = it.next_entry().unwrap() {
+                while let Some(e) = it.next().transpose().unwrap() {
                     out.push((e.key, e.value.to_vec()));
                 }
             }
             Engine::Sharded(db) => {
                 let mut it = db.scan(lo, hi).unwrap();
-                while let Some(e) = it.next_entry().unwrap() {
+                while let Some(e) = it.next().transpose().unwrap() {
                     out.push((e.key, e.value.to_vec()));
                 }
             }
@@ -271,7 +271,7 @@ fn cross_shard_scan_bound_edges() {
     let got = db
         .scan(b"key0010", Some(b"key0020"))
         .unwrap()
-        .collect_n(usize::MAX)
+        .collect::<scavenger::Result<Vec<_>>>()
         .unwrap();
     assert_eq!(got.len(), 10);
     assert_eq!(got[0].key, b"key0010");
@@ -281,7 +281,7 @@ fn cross_shard_scan_bound_edges() {
     let got = db
         .scan(b"key0010x", Some(b"key0012x"))
         .unwrap()
-        .collect_n(usize::MAX)
+        .collect::<scavenger::Result<Vec<_>>>()
         .unwrap();
     assert_eq!(
         got.iter().map(|e| e.key.clone()).collect::<Vec<_>>(),
@@ -292,13 +292,13 @@ fn cross_shard_scan_bound_edges() {
     assert!(db
         .scan(b"key0050", Some(b"key0050"))
         .unwrap()
-        .collect_n(usize::MAX)
+        .collect::<scavenger::Result<Vec<_>>>()
         .unwrap()
         .is_empty());
     assert!(db
         .scan(b"key0060", Some(b"key0050"))
         .unwrap()
-        .collect_n(usize::MAX)
+        .collect::<scavenger::Result<Vec<_>>>()
         .unwrap()
         .is_empty());
 
@@ -306,7 +306,7 @@ fn cross_shard_scan_bound_edges() {
     assert!(db
         .scan(b"key9000", None)
         .unwrap()
-        .collect_n(usize::MAX)
+        .collect::<scavenger::Result<Vec<_>>>()
         .unwrap()
         .is_empty());
 
@@ -316,7 +316,7 @@ fn cross_shard_scan_bound_edges() {
     let got = db
         .scan(b"key0042", Some(b"key0043"))
         .unwrap()
-        .collect_n(usize::MAX)
+        .collect::<scavenger::Result<Vec<_>>>()
         .unwrap();
     assert_eq!(got.len(), 1);
     assert_eq!(got[0].key, b"key0042");
@@ -329,7 +329,11 @@ fn cross_shard_scan_bound_edges() {
         fill_cache: false,
         ..ReadOptions::default()
     };
-    let got = db.scan_with(&ro).unwrap().collect_n(usize::MAX).unwrap();
+    let got = db
+        .scan_with(&ro)
+        .unwrap()
+        .collect::<scavenger::Result<Vec<_>>>()
+        .unwrap();
     assert_eq!(got.len(), 5);
     assert!(got.windows(2).all(|w| w[0].key < w[1].key));
 
@@ -342,7 +346,11 @@ fn cross_shard_scan_bound_edges() {
         upper_bound: Some(b"key0012".to_vec()),
         ..ReadOptions::pinned(&view)
     };
-    let got = db.scan_with(&ro).unwrap().collect_n(usize::MAX).unwrap();
+    let got = db
+        .scan_with(&ro)
+        .unwrap()
+        .collect::<scavenger::Result<Vec<_>>>()
+        .unwrap();
     assert_eq!(got.len(), 2);
     assert_eq!(got[1].value, bytes::Bytes::from(value(11, 600)));
 }

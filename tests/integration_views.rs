@@ -59,7 +59,7 @@ fn view_outlives_flush_compaction_and_gc() {
         }
         let mut it = view.scan(b"key", None).unwrap();
         let mut n = 0;
-        while let Some(e) = it.next_entry().unwrap() {
+        while let Some(e) = it.next().transpose().unwrap() {
             let i: usize = std::str::from_utf8(&e.key[3..]).unwrap().parse().unwrap();
             assert_eq!(e.value, bytes::Bytes::from(value(i, 2048)), "{mode:?}");
             n += 1;
@@ -100,7 +100,7 @@ fn snapshot_registers_and_unregisters_on_drop() {
     let mut it = snap.scan(b"", None).unwrap();
     drop(snap);
     assert!(db.lsm().snapshot_sequences().is_empty());
-    let e = it.next_entry().unwrap().unwrap();
+    let e = it.next().unwrap().unwrap();
     assert_eq!(e.key, b"a");
     assert_eq!(e.value, value(1, 100));
 }
@@ -162,8 +162,8 @@ fn read_options_select_read_point_and_bounds() {
         upper_bound: Some(b"key20".to_vec()),
         ..ReadOptions::at_snapshot(&snap)
     };
-    let mut it = db.scan_with(&opts).unwrap();
-    let entries = it.collect_n(usize::MAX).unwrap();
+    let it = db.scan_with(&opts).unwrap();
+    let entries: Vec<_> = it.collect::<scavenger::Result<_>>().unwrap();
     assert_eq!(entries.len(), 10);
     for (j, e) in entries.iter().enumerate() {
         assert_eq!(e.key, format!("key{:02}", j + 10).into_bytes());
@@ -200,8 +200,8 @@ fn read_options_fill_cache_false_bypasses_caches() {
         "fill_cache=false reads must not populate the block cache"
     );
     // Scans too — including the L1+ levels the data compacted into.
-    let mut it = db.scan_with(&cold).unwrap();
-    let entries = it.collect_n(usize::MAX).unwrap();
+    let it = db.scan_with(&cold).unwrap();
+    let entries: Vec<_> = it.collect::<scavenger::Result<_>>().unwrap();
     assert_eq!(entries.len(), 200);
     assert_eq!(
         cache.usage(),
