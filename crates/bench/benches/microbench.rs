@@ -1,5 +1,6 @@
 //! Microbenchmarks over the substrate data structures: blocks, bloom
-//! filters, CRC, block cache, memtable, WAL, and the workload generators.
+//! filters, CRC, block cache, memtable, WAL, the workload generators, and
+//! the value store's three ways of resolving a reference.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use rand::rngs::StdRng;
@@ -213,6 +214,95 @@ fn bench_distributions(c: &mut Criterion) {
     g.finish();
 }
 
+/// One `ValueStore::read_ref` per iteration, along each resolution path:
+/// `by_address` reads a live RTable record at its reference's address;
+/// `keyed` gives the same references an address past the end of the file,
+/// so each read takes the keyed index lookup every read took before
+/// address hints; `inherited` names a file GC collected, resolved through
+/// the memoised inheritance forest and a keyed lookup in the heir. The
+/// cache holds every index block, so the rows compare CPU and record
+/// reads, not cache misses.
+fn bench_value_resolve(c: &mut Criterion) {
+    use scavenger::options::VFormat;
+    use scavenger::vstore::vtable::VWriter;
+    use scavenger::vstore::{new_value_file_record, ValueStore};
+    use scavenger_env::{EnvRef, IoClass, MemEnv};
+    use scavenger_lsm::ValueEditBundle;
+    use scavenger_table::btable::{BlockCache, TableOptions};
+    use scavenger_util::ikey::ValueRef;
+    use std::sync::Arc;
+
+    const N: u64 = 2000;
+    let env: EnvRef = MemEnv::shared();
+    let vs = ValueStore::new(
+        env.clone(),
+        "db",
+        Arc::new(BlockCache::with_capacity(8 << 20)),
+    );
+    let keys: Vec<Vec<u8>> = (0..N).map(|i| format!("user{i:08}").into_bytes()).collect();
+    let value = vec![7u8; 1024];
+    let write = |file: u64| -> Vec<ValueRef> {
+        let topts = TableOptions {
+            cmp: KeyCmp::Internal,
+            ..TableOptions::default()
+        };
+        let mut w =
+            VWriter::create(&env, "db", file, VFormat::RTable, topts, IoClass::Flush).unwrap();
+        let refs = (0..N)
+            .map(|i| {
+                let rec = w.add(&keys[i as usize], i + 1, &value).unwrap();
+                ValueRef {
+                    file,
+                    size: rec.size,
+                    offset: rec.offset,
+                }
+            })
+            .collect();
+        let info = w.finish().unwrap();
+        vs.apply_bundle(&ValueEditBundle {
+            new_files: vec![new_value_file_record(file, info, false, VFormat::RTable)],
+            ..Default::default()
+        });
+        refs
+    };
+    // File 1 stays live; GC moved file 2's records into file 3.
+    let live = write(1);
+    let collected = write(2);
+    write(3);
+    vs.apply_bundle(&ValueEditBundle {
+        deleted_files: vec![2],
+        inherits: vec![(2, 3)],
+        ..Default::default()
+    });
+    let far: Vec<ValueRef> = live
+        .iter()
+        .map(|r| ValueRef {
+            offset: u64::MAX / 2,
+            ..*r
+        })
+        .collect();
+
+    let mut g = c.benchmark_group("value_resolve");
+    g.sample_size(20);
+    for (name, refs) in [
+        ("by_address", &live),
+        ("keyed", &far),
+        ("inherited", &collected),
+    ] {
+        g.bench_function(name, |b| {
+            let mut i = 0u64;
+            b.iter(|| {
+                i = (i * 31 + 7) % N;
+                let v = vs
+                    .read_ref(&keys[i as usize], i + 1, &refs[i as usize])
+                    .unwrap();
+                assert_eq!(v.len(), 1024);
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_block,
@@ -221,6 +311,7 @@ criterion_group!(
     bench_cache,
     bench_memtable,
     bench_wal,
-    bench_distributions
+    bench_distributions,
+    bench_value_resolve
 );
 criterion_main!(benches);

@@ -698,6 +698,7 @@ impl Db {
         DbStats {
             io: inner.opts.env.io_stats().snapshot(),
             gc: inner.gc_stats.snapshot(),
+            value_reads: inner.vstore.read_stats(),
             space: self.space(),
             index_space_amp: version.index_space_amp(),
             exposed_garbage_bytes: inner.vstore.total_exposed_bytes(),

@@ -88,7 +88,7 @@ pub use options::{
     SpaceUsageFn, VFormat,
 };
 pub use shards::{DbShards, ShardedOptions, ShardedOptionsBuilder, ShardsSnapshot, ShardsView};
-pub use stats::{DbStats, GcStats, GcStepTimes, SpaceBreakdown};
+pub use stats::{DbStats, GcStats, GcStepTimes, SpaceBreakdown, ValueReadStats};
 pub use throttle::Throttle;
 pub use txn::{Transaction, Transactional};
 pub use view::{ReadOptions, ReadPin, ReadView, Snapshot, WriteOptions, WriteReceipt};

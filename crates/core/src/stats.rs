@@ -89,6 +89,37 @@ impl GcStepTimes {
 }
 
 metric_set! {
+    /// Snapshot of [`ValueReadCounters`]: how each separated-value
+    /// reference was resolved. Every resolution that returns a value
+    /// counts in exactly one field, so the fields sum to the resolutions.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ValueReadStats in "value_" {
+        /// References resolved by one read at their stored address: an
+        /// accepted RTable address hint, or a blob-log read.
+        reads_by_address: u64 = counter sum,
+        /// References resolved by a keyed lookup in the live file they
+        /// name, with no address tried (BTable value files).
+        reads_keyed: u64 = counter sum,
+        /// References resolved through the inheritance forest because GC
+        /// had collected the file they name.
+        reads_inherited: u64 = counter sum,
+        /// References resolved by a keyed lookup or the inheritance forest
+        /// after the live RTable they name refused the address hint.
+        hint_misses: u64 = counter sum,
+    }
+    /// Live counters behind [`ValueReadStats`], kept by the value store.
+    #[derive(Debug, Default)]
+    pub atomic ValueReadCounters;
+}
+
+impl ValueReadStats {
+    /// Resolutions counted: the sum of all fields.
+    pub fn total(&self) -> u64 {
+        self.reads_by_address + self.reads_keyed + self.reads_inherited + self.hint_misses
+    }
+}
+
+metric_set! {
     /// Where the engine's bytes live on disk.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct SpaceBreakdown in "space_" {
@@ -123,6 +154,8 @@ metric_set! {
         io: IoStatsSnapshot = counter sum hand,
         /// GC step breakdown.
         gc: GcStepTimes = counter sum hand,
+        /// How separated values were resolved.
+        value_reads: ValueReadStats = counter sum hand,
         /// On-disk space breakdown.
         space: SpaceBreakdown = gauge sum hand,
         /// Index LSM-tree space amplification (paper Eq. 1).
@@ -240,13 +273,15 @@ metric_set! {
 impl DbStats {
     /// Append this snapshot in Prometheus text exposition format — the
     /// engine half of a `/metrics` page. Every declared family comes from
-    /// [`DbStats::write_families`] and [`GcStepTimes::write_families`];
-    /// the `hand` fields are written here, one family each. The I/O
+    /// [`DbStats::write_families`], [`GcStepTimes::write_families`] and
+    /// [`ValueReadStats::write_families`]; the other `hand` fields are
+    /// written here, one family each. The I/O
     /// families carry one more sample set per entry of `shards`, labelled
     /// `shard="<index>"`.
     pub fn render_prometheus(&self, out: &mut String, shards: &[DbStats]) {
         DbStats::write_families(out, &[("", self)]);
         GcStepTimes::write_families(out, &[("", &self.gc)]);
+        ValueReadStats::write_families(out, &[("", &self.value_reads)]);
         let mut io = vec![(String::new(), &self.io)];
         io.extend(
             shards
@@ -368,6 +403,10 @@ mod tests {
                 runs: 3,
                 ..Default::default()
             },
+            value_reads: ValueReadStats {
+                reads_inherited: 4,
+                ..Default::default()
+            },
             oldest_read_point: Some(0),
             ..Default::default()
         };
@@ -376,6 +415,8 @@ mod tests {
         stats.render_prometheus(&mut out, &[shard]);
         assert!(out.contains("scavenger_gc_runs_total 3\n"));
         assert!(out.contains("scavenger_gc_step_seconds_total{step=\"read\"} 2\n"));
+        assert!(out.contains("scavenger_value_reads_inherited_total 4\n"));
+        assert!(out.contains("scavenger_value_hint_misses_total 0\n"));
         assert!(out.contains("scavenger_space_bytes{kind=\"other\"} 0\n"));
         assert!(out.contains("scavenger_oldest_read_point_present 1\n"));
         assert!(out.contains("scavenger_io_read_ops_total{class=\"wal\",shard=\"0\"} 0\n"));

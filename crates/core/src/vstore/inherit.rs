@@ -8,13 +8,23 @@
 //! `F`'s subtree — the files that currently hold whatever survived from
 //! `F`. Each GC consumes whole files, so interior nodes never gain new
 //! children after deletion; the forest only grows at its leaves.
+//!
+//! Every read of a collected file's value and every GC validity check
+//! asks for such a leaf set, so the forest memoises each collected
+//! file's sorted leaves. Adding an edge needs `&mut self` and clears the
+//! memo, so under the store's `RwLock` a set computed by a reader can
+//! never outlive the edges it was computed from.
 
-use std::collections::HashMap;
+use parking_lot::RwLock;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// The `old file → new files` DAG.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub struct InheritForest {
     children: HashMap<u64, Vec<u64>>,
+    /// Sorted leaf sets of collected files, filled on first use.
+    memo: RwLock<HashMap<u64, Arc<[u64]>>>,
 }
 
 impl InheritForest {
@@ -28,6 +38,7 @@ impl InheritForest {
         let c = self.children.entry(old).or_default();
         if !c.contains(&new) {
             c.push(new);
+            self.memo.get_mut().clear();
         }
     }
 
@@ -37,11 +48,13 @@ impl InheritForest {
     }
 
     /// The current holders of whatever survived from `file`: all leaf
-    /// descendants (or `file` itself if it was never collected).
+    /// descendants, ascending (or `file` itself if it was never
+    /// collected). Computed afresh by a walk of the forest; see
+    /// [`cached_leaves`](Self::cached_leaves) for the memoised set.
     pub fn leaves(&self, file: u64) -> Vec<u64> {
         let mut out = Vec::new();
         let mut stack = vec![file];
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::new();
         while let Some(f) = stack.pop() {
             if !seen.insert(f) {
                 continue;
@@ -55,29 +68,28 @@ impl InheritForest {
         out
     }
 
+    /// [`leaves`](Self::leaves), memoised for collected files until the
+    /// next [`add_edge`](Self::add_edge).
+    pub fn cached_leaves(&self, file: u64) -> Arc<[u64]> {
+        if self.is_leaf(file) {
+            return Arc::new([file]);
+        }
+        if let Some(leaves) = self.memo.read().get(&file) {
+            return leaves.clone();
+        }
+        let leaves: Arc<[u64]> = self.leaves(file).into();
+        self.memo.write().insert(file, leaves.clone());
+        leaves
+    }
+
     /// True if `candidate` is among the leaves of `file` — the GC validity
     /// test: a record read from `candidate` whose index entry names `file`
     /// is still live only if `candidate` descends from `file`.
     pub fn resolves_to(&self, file: u64, candidate: u64) -> bool {
-        if file == candidate && self.is_leaf(file) {
-            return true;
+        if self.is_leaf(file) {
+            return file == candidate;
         }
-        let mut stack = vec![file];
-        let mut seen = std::collections::HashSet::new();
-        while let Some(f) = stack.pop() {
-            if !seen.insert(f) {
-                continue;
-            }
-            match self.children.get(&f) {
-                Some(kids) => stack.extend(kids.iter().copied()),
-                None => {
-                    if f == candidate {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
+        self.cached_leaves(file).binary_search(&candidate).is_ok()
     }
 
     /// Number of recorded edges (for stats).

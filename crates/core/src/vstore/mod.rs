@@ -6,11 +6,18 @@
 //! index entries have already been merged away by compaction. The
 //! ratio-triggered GC consumes this accounting; the experiment harness
 //! reads it to reproduce Figures 5 and 18.
+//!
+//! A reference resolves along the cheapest path that can answer it (see
+//! [`ValueStore::read_ref`]): one checksummed read at the reference's
+//! address when the named file is live, a keyed lookup when that is
+//! refused, and the memoised inheritance forest when GC collected the
+//! file. [`ValueReadStats`] counts which path answered.
 
 pub mod inherit;
 pub mod vtable;
 
 use crate::options::VFormat;
+use crate::stats::{ValueReadCounters, ValueReadStats};
 use bytes::Bytes;
 use inherit::InheritForest;
 use parking_lot::RwLock;
@@ -22,10 +29,13 @@ use scavenger_util::ikey::{SeqNo, ValueRef};
 use scavenger_util::{Error, Result};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use vtable::{vfile_path, VReader};
 
-/// Metadata for one value file.
+/// Metadata for one value file, and its foreground reader: the reader is
+/// opened on first use and closed with the last holder of the meta, so a
+/// file that [`ValueStore::apply_bundle`] deleted is never held open past
+/// the reads already in flight.
 #[derive(Debug)]
 pub struct VsstMeta {
     /// File number.
@@ -44,6 +54,7 @@ pub struct VsstMeta {
     pub exposed_bytes: AtomicU64,
     /// Exposed garbage, entries.
     pub exposed_entries: AtomicU64,
+    reader: OnceLock<VReader>,
 }
 
 impl VsstMeta {
@@ -113,7 +124,7 @@ pub struct ValueStore {
     cache_ns: u64,
     files: RwLock<HashMap<u64, Arc<VsstMeta>>>,
     forest: RwLock<InheritForest>,
-    readers: RwLock<HashMap<u64, Arc<VReader>>>,
+    read_stats: ValueReadCounters,
 }
 
 impl ValueStore {
@@ -126,7 +137,7 @@ impl ValueStore {
             cache_ns: 0,
             files: RwLock::new(HashMap::new()),
             forest: RwLock::new(InheritForest::new()),
-            readers: RwLock::new(HashMap::new()),
+            read_stats: ValueReadCounters::default(),
         }
     }
 
@@ -154,6 +165,7 @@ impl ValueStore {
                         format,
                         exposed_bytes: AtomicU64::new(0),
                         exposed_entries: AtomicU64::new(0),
+                        reader: OnceLock::new(),
                     }),
                 );
             }
@@ -170,7 +182,6 @@ impl ValueStore {
         let mut removed = Vec::new();
         for file in &bundle.deleted_files {
             if let Some(meta) = self.files.write().remove(file) {
-                self.readers.write().remove(file);
                 removed.push((*file, meta.format));
             }
         }
@@ -189,9 +200,8 @@ impl ValueStore {
             meta.exposed_entries.fetch_add(entries, Ordering::Relaxed);
             return;
         }
-        let leaves = self.forest.read().leaves(file);
-        for leaf in leaves {
-            if let Some(meta) = files.get(&leaf) {
+        for leaf in self.resolve_leaves(file).iter() {
+            if let Some(meta) = files.get(leaf) {
                 meta.exposed_bytes.fetch_add(bytes, Ordering::Relaxed);
                 meta.exposed_entries.fetch_add(entries, Ordering::Relaxed);
                 return;
@@ -276,9 +286,10 @@ impl ValueStore {
         self.files.read().values().map(|m| m.value_bytes).sum()
     }
 
-    /// Current holders of whatever survived from `file`.
-    pub fn resolve_leaves(&self, file: u64) -> Vec<u64> {
-        self.forest.read().leaves(file)
+    /// Current holders of whatever survived from `file`, ascending
+    /// (memoised; see [`InheritForest::cached_leaves`]).
+    pub fn resolve_leaves(&self, file: u64) -> Arc<[u64]> {
+        self.forest.read().cached_leaves(file)
     }
 
     /// GC validity: does `candidate` descend from `file`?
@@ -286,25 +297,27 @@ impl ValueStore {
         self.forest.read().resolves_to(file, candidate)
     }
 
-    /// Cached foreground reader for `file`.
-    pub fn reader(&self, file: u64) -> Result<Arc<VReader>> {
-        if let Some(r) = self.readers.read().get(&file) {
-            return Ok(r.clone());
+    /// How references have resolved so far.
+    pub fn read_stats(&self) -> ValueReadStats {
+        self.read_stats.snapshot()
+    }
+
+    /// The foreground reader of a live file, opened on first use.
+    fn reader<'m>(&self, meta: &'m VsstMeta) -> Result<&'m VReader> {
+        if let Some(r) = meta.reader.get() {
+            return Ok(r);
         }
-        let meta = self
-            .meta(file)
-            .ok_or_else(|| Error::not_found(format!("value file {file}")))?;
-        let reader = Arc::new(VReader::open(
+        let reader = VReader::open(
             &self.env,
             &self.dir,
-            file,
+            meta.file,
             self.cache_ns,
             meta.format,
             Some(self.cache.clone()),
             IoClass::FgValueRead,
-        )?);
-        self.readers.write().insert(file, reader.clone());
-        Ok(reader)
+        )?;
+        // A racing opener may have won; its reader is as good as ours.
+        Ok(meta.reader.get_or_init(|| reader))
     }
 
     /// Open a *GC-class* reader (separate from the foreground reader so
@@ -326,10 +339,15 @@ impl ValueStore {
 
     /// Resolve and read the value behind a reference.
     ///
-    /// * Address-based formats (blob logs) read `(offset, size)` directly.
-    /// * Keyed formats resolve the stored file through the inheritance
-    ///   forest and probe each leaf (bloom-guarded) for the exact
-    ///   `(user_key, seq)` version.
+    /// * Blob logs read `(offset, size)` directly.
+    /// * A live RTable first reads the record at `offset`, the address its
+    ///   writer returned, and takes it only if the checksum holds and the
+    ///   record is exactly `(user_key, seq)` with a `size`-byte value.
+    /// * Otherwise a live keyed file is searched for the exact
+    ///   `(user_key, seq)` version; a corrupt record surfaces here as
+    ///   [`Error::Corruption`].
+    /// * A file GC collected resolves through the inheritance forest, and
+    ///   each live leaf is probed (bloom-guarded) for the version.
     pub fn read_ref(&self, user_key: &[u8], seq: SeqNo, vref: &ValueRef) -> Result<Bytes> {
         // A concurrent GC can retire a file between our resolution and the
         // read; on that narrow race, re-resolve once (the inheritance
@@ -341,28 +359,50 @@ impl ValueStore {
     }
 
     fn read_ref_once(&self, user_key: &[u8], seq: SeqNo, vref: &ValueRef) -> Result<Bytes> {
+        let stats = &self.read_stats;
+        let count = |c: &AtomicU64| c.fetch_add(1, Ordering::Relaxed);
+        let mut hint_missed = false;
         // Fast path: the file is live (no GC touched it).
         if let Some(meta) = self.meta(vref.file) {
-            if meta.format == VFormat::BlobLog {
-                return self
-                    .reader(vref.file)?
-                    .read_at(user_key, vref.offset, vref.size);
+            let reader = self.reader(&meta)?;
+            let by_address = match meta.format {
+                VFormat::BlobLog => Some(reader.read_at(user_key, vref.offset, vref.size)?),
+                VFormat::RTable => {
+                    let v = reader.read_hinted(user_key, seq, vref.offset, vref.size);
+                    hint_missed = v.is_none();
+                    v
+                }
+                VFormat::BTable => None,
+            };
+            if let Some(v) = by_address {
+                count(&stats.reads_by_address);
+                return Ok(v);
             }
-            if let Some(v) = self.reader(vref.file)?.get_exact(user_key, seq)? {
+            if let Some(v) = reader.get_exact(user_key, seq)? {
+                count(if hint_missed {
+                    &stats.hint_misses
+                } else {
+                    &stats.reads_keyed
+                });
                 return Ok(v);
             }
             // Keyed file is live but lacks the record — fall through to
             // resolution (the file may predate a merged-GC output).
         }
-        for leaf in self.resolve_leaves(vref.file) {
-            if self.meta(leaf).is_none() {
+        for leaf in self.resolve_leaves(vref.file).iter() {
+            let Some(meta) = self.meta(*leaf) else {
                 continue;
-            }
-            let reader = self.reader(leaf)?;
+            };
+            let reader = self.reader(&meta)?;
             if !reader.may_contain(user_key) {
                 continue;
             }
             if let Some(v) = reader.get_exact(user_key, seq)? {
+                count(if hint_missed {
+                    &stats.hint_misses
+                } else {
+                    &stats.reads_inherited
+                });
                 return Ok(v);
             }
         }
@@ -415,9 +455,11 @@ impl ValueStore {
 mod tests {
     use super::vtable::{VFileInfo, VWriter};
     use super::*;
-    use scavenger_env::MemEnv;
+    use parking_lot::Mutex;
+    use scavenger_env::{Env, IoStats, MemEnv, RandomAccessFile, WritableFile};
     use scavenger_table::btable::TableOptions;
     use scavenger_table::KeyCmp;
+    use std::sync::Weak;
 
     fn store() -> ValueStore {
         let env: EnvRef = MemEnv::shared();
@@ -567,6 +609,245 @@ mod tests {
             offset: 0,
         };
         assert!(vs.read_ref(b"zz", 1, &bad).is_err());
+    }
+
+    /// An env that keeps a weak handle to every file opened for reading,
+    /// so a test can see when the last reader of a path lets go.
+    #[derive(Default)]
+    struct HandleEnv {
+        mem: MemEnv,
+        opened: Mutex<Vec<(String, Weak<dyn RandomAccessFile>)>>,
+    }
+
+    impl HandleEnv {
+        fn open_handles(&self, path: &str) -> usize {
+            let opened = self.opened.lock();
+            opened
+                .iter()
+                .filter(|(p, h)| p == path && h.strong_count() > 0)
+                .count()
+        }
+    }
+
+    impl Env for HandleEnv {
+        fn new_writable(&self, path: &str, class: IoClass) -> Result<Box<dyn WritableFile>> {
+            self.mem.new_writable(path, class)
+        }
+        fn open_random_access(
+            &self,
+            path: &str,
+            class: IoClass,
+        ) -> Result<Arc<dyn RandomAccessFile>> {
+            let f = self.mem.open_random_access(path, class)?;
+            self.opened
+                .lock()
+                .push((path.to_string(), Arc::downgrade(&f)));
+            Ok(f)
+        }
+        fn read_file(&self, path: &str, class: IoClass) -> Result<Bytes> {
+            self.mem.read_file(path, class)
+        }
+        fn remove_file(&self, path: &str) -> Result<()> {
+            self.mem.remove_file(path)
+        }
+        fn rename(&self, from: &str, to: &str) -> Result<()> {
+            self.mem.rename(from, to)
+        }
+        fn file_exists(&self, path: &str) -> bool {
+            self.mem.file_exists(path)
+        }
+        fn file_size(&self, path: &str) -> Result<u64> {
+            self.mem.file_size(path)
+        }
+        fn list_prefix(&self, prefix: &str) -> Result<Vec<String>> {
+            self.mem.list_prefix(prefix)
+        }
+        fn create_dir_all(&self, path: &str) -> Result<()> {
+            self.mem.create_dir_all(path)
+        }
+        fn io_stats(&self) -> Arc<IoStats> {
+            self.mem.io_stats()
+        }
+    }
+
+    /// Write value file `file` holding `(key, seq, value)` records and
+    /// register it; returns each record's reference.
+    fn add_file(
+        vs: &ValueStore,
+        file: u64,
+        format: VFormat,
+        recs: &[(&[u8], SeqNo, &[u8])],
+    ) -> Vec<ValueRef> {
+        let topts = TableOptions {
+            cmp: KeyCmp::Internal,
+            ..TableOptions::default()
+        };
+        let mut w = VWriter::create(vs.env(), "db", file, format, topts, IoClass::Flush).unwrap();
+        let refs = recs
+            .iter()
+            .map(|&(k, seq, v)| {
+                let rec = w.add(k, seq, v).unwrap();
+                ValueRef {
+                    file,
+                    size: rec.size,
+                    offset: rec.offset,
+                }
+            })
+            .collect();
+        let info = w.finish().unwrap();
+        vs.apply_bundle(&ValueEditBundle {
+            new_files: vec![new_value_file_record(file, info, false, format)],
+            ..Default::default()
+        });
+        refs
+    }
+
+    /// GC moves file `old` into `new` (already registered) and deletes it.
+    fn collect_into(vs: &ValueStore, old: u64, new: u64) {
+        for (f, fmt) in vs.apply_bundle(&ValueEditBundle {
+            deleted_files: vec![old],
+            inherits: vec![(old, new)],
+            ..Default::default()
+        }) {
+            vs.delete_file(f, fmt);
+        }
+    }
+
+    #[test]
+    fn reader_of_a_deleted_file_closes_with_its_last_meta_holder() {
+        let env = Arc::new(HandleEnv::default());
+        let eref: EnvRef = env.clone();
+        let vs = ValueStore::new(eref, "db", Arc::new(BlockCache::with_capacity(1 << 20)));
+        let path = "db/000005.vsst";
+        let vref = add_file(&vs, 5, VFormat::RTable, &[(b"k", 7, b"v")])[0];
+        assert_eq!(&vs.read_ref(b"k", 7, &vref).unwrap()[..], b"v");
+        assert_eq!(env.open_handles(path), 1, "the read opened the reader");
+
+        // A read in flight holds the meta it looked up, while GC moves the
+        // file's contents to file 9 and deletes it.
+        let held = vs.meta(5).unwrap();
+        add_file(&vs, 9, VFormat::RTable, &[(b"k", 7, b"v")]);
+        collect_into(&vs, 5, 9);
+        assert!(!env.file_exists(path));
+        // The in-flight read finishes on its reader ...
+        let reader = vs.reader(&held).unwrap();
+        assert_eq!(&reader.get_exact(b"k", 7).unwrap().unwrap()[..], b"v");
+        assert_eq!(env.open_handles(path), 1);
+        // ... and the reader and its file handle go with the last holder.
+        let weak = Arc::downgrade(&held);
+        drop(held);
+        assert!(weak.upgrade().is_none());
+        assert_eq!(env.open_handles(path), 0, "the deleted file is closed");
+        // New reads of the old reference resolve through the heir.
+        assert_eq!(&vs.read_ref(b"k", 7, &vref).unwrap()[..], b"v");
+        assert_eq!(env.open_handles(path), 0);
+    }
+
+    #[test]
+    fn read_stats_count_each_resolution_once_by_path() {
+        let vs = store();
+        let r = add_file(
+            &vs,
+            5,
+            VFormat::RTable,
+            &[(b"a", 1, b"va"), (b"b", 2, b"vb")],
+        );
+        let btable = add_file(&vs, 6, VFormat::BTable, &[(b"c", 3, b"vc")]);
+        let blob = add_file(&vs, 7, VFormat::BlobLog, &[(b"d", 4, b"vd")]);
+        let read = |k: &[u8], seq, vref: &ValueRef| vs.read_ref(k, seq, vref).unwrap();
+
+        assert_eq!(&read(b"a", 1, &r[0])[..], b"va");
+        assert_eq!(&read(b"d", 4, &blob[0])[..], b"vd");
+        let s = vs.read_stats();
+        assert_eq!((s.reads_by_address, s.total()), (2, 2), "{s:?}");
+
+        assert_eq!(&read(b"c", 3, &btable[0])[..], b"vc");
+        assert_eq!(vs.read_stats().reads_keyed, 1);
+
+        // A hint naming another record's address is refused, and the
+        // keyed lookup answers.
+        let wrong = ValueRef {
+            offset: r[0].offset,
+            ..r[1]
+        };
+        assert_eq!(&read(b"b", 2, &wrong)[..], b"vb");
+        assert_eq!(vs.read_stats().hint_misses, 1);
+
+        add_file(&vs, 9, VFormat::RTable, &[(b"a", 1, b"va")]);
+        collect_into(&vs, 5, 9);
+        assert_eq!(&read(b"a", 1, &r[0])[..], b"va");
+        let s = vs.read_stats();
+        assert_eq!(s.reads_inherited, 1);
+        assert_eq!(s.total(), 5, "one count per resolution: {s:?}");
+
+        // A failed resolution counts nowhere.
+        assert!(vs.read_ref(b"zz", 1, &r[1]).is_err());
+        assert_eq!(vs.read_stats().total(), 5);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        /// After every GC-like bundle (flushes, single and merged
+        /// collections, hot/cold splits, all-dead collections), the
+        /// memoised leaf sets equal a forest rebuilt from scratch.
+        #[test]
+        fn prop_memoised_leaves_match_a_fresh_forest(
+            steps in proptest::collection::vec((0u8..4, 0u8..64, 0u8..3, proptest::prelude::any::<bool>()), 1..40),
+        ) {
+            let vs = store();
+            let mut live: Vec<u64> = vec![1, 2, 3];
+            let mut next = 4u64;
+            let mut edges: Vec<(u64, u64)> = Vec::new();
+            vs.apply_bundle(&ValueEditBundle {
+                new_files: live.iter().map(|&f| nf(f, 1, 100)).collect(),
+                ..Default::default()
+            });
+            for (kind, pick, extra, split) in steps {
+                let mut bundle = ValueEditBundle::default();
+                if kind == 0 || live.is_empty() {
+                    bundle.new_files.push(nf(next, 1, 100));
+                    live.push(next);
+                    next += 1;
+                } else {
+                    // Kinds 1 and 3 collect one file, kind 2 up to three.
+                    let n = if kind == 2 { usize::from(extra) + 1 } else { 1 };
+                    let victims: Vec<u64> = (0..n.min(live.len()))
+                        .map(|i| live[(usize::from(pick) + i) % live.len()])
+                        .collect();
+                    live.retain(|f| !victims.contains(f));
+                    // Kind 3: every record was dead, so nothing inherits.
+                    let outputs = match (kind, split) {
+                        (3, _) => 0,
+                        (_, true) => 2,
+                        _ => 1,
+                    };
+                    for _ in 0..outputs {
+                        bundle.new_files.push(nf(next, 1, 100));
+                        for &v in &victims {
+                            bundle.inherits.push((v, next));
+                        }
+                        live.push(next);
+                        next += 1;
+                    }
+                    bundle.deleted_files = victims;
+                }
+                edges.extend(&bundle.inherits);
+                vs.apply_bundle(&bundle);
+
+                let mut fresh = InheritForest::new();
+                for &(old, new) in &edges {
+                    fresh.add_edge(old, new);
+                }
+                for f in 1..next {
+                    let want = fresh.leaves(f);
+                    proptest::prop_assert_eq!(&vs.resolve_leaves(f)[..], want.as_slice());
+                    for c in 1..next {
+                        proptest::prop_assert_eq!(vs.resolves_to(f, c), want.contains(&c));
+                        proptest::prop_assert_eq!(vs.resolves_to(f, c), fresh.resolves_to(f, c));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use scavenger_table::handle::BlockHandle;
 use scavenger_table::rtable::{RTableBuilder, RTableReader};
 use scavenger_table::KeyCmp;
 use scavenger_util::coding::{get_varint32, put_varint32};
-use scavenger_util::ikey::{extract_user_key, make_internal_key, SeqNo, ValueType};
+use scavenger_util::ikey::{extract_user_key, make_internal_key, pack_trailer, SeqNo, ValueType};
 use scavenger_util::{crc32c, Error, Result};
 use std::sync::Arc;
 
@@ -40,7 +40,10 @@ pub fn vfile_path(dir: &str, file: u64, format: VFormat) -> String {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WrittenRecord {
     /// For `BlobLog`: byte offset of the *value* within the file.
-    /// For table formats: offset of the record (informational).
+    /// For `RTable`: offset of the record, the address hint that
+    /// [`ValueStore::read_ref`](super::ValueStore::read_ref) reads first
+    /// while the file is live. For `BTable`: the table size before the
+    /// record was added (informational).
     pub offset: u64,
     /// Value size in bytes.
     pub size: u32,
@@ -330,6 +333,18 @@ pub enum VReader {
     Blob(BlobLogReader),
 }
 
+// The readers hold file handles and cached blocks; the format is what
+// a `VsstMeta` dump needs.
+impl std::fmt::Debug for VReader {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            VReader::R(_) => "VReader::R",
+            VReader::B(_) => "VReader::B",
+            VReader::Blob(_) => "VReader::Blob",
+        })
+    }
+}
+
 impl VReader {
     /// Open `file` in `dir` for the given format; block fetches go through
     /// `cache` (table formats only), keyed under the store's `cache_ns`
@@ -377,6 +392,26 @@ impl VReader {
         match got {
             Some((k, v)) if k == target => Ok(Some(v)),
             _ => Ok(None),
+        }
+    }
+
+    /// Address-hinted read of version `(user_key, seq)` (RTables): the
+    /// value if the record at `offset` is exactly that version with a
+    /// `size`-byte value and an intact checksum, else `None` (see
+    /// [`RTableReader::read_record_at`]). Other formats return `None`.
+    pub fn read_hinted(
+        &self,
+        user_key: &[u8],
+        seq: SeqNo,
+        offset: u64,
+        size: u32,
+    ) -> Option<Bytes> {
+        match self {
+            VReader::R(r) => {
+                let trailer = pack_trailer(seq, ValueType::Value).to_le_bytes();
+                r.read_record_at(offset, user_key, &trailer, size)
+            }
+            _ => None,
         }
     }
 

@@ -16,7 +16,9 @@
 //! validity checks (GC-Lookup) run before a single value byte is fetched,
 //! and only surviving values are ever read. Foreground point reads also
 //! benefit: the dense index points directly at the record, so there is no
-//! in-block search.
+//! in-block search. A reader that already holds a record's address (the
+//! offset its writer returned) skips the index altogether with
+//! [`RTableReader::read_record_at`].
 
 use crate::block::{Block, BlockBuilder};
 use crate::blockio::{read_block, stage_block, write_block, BLOCK_TRAILER_LEN};
@@ -30,7 +32,7 @@ use crate::props::{meta_keys, metaindex, TableProps, TableType};
 use crate::{BlockKind, KeyCmp};
 use bytes::Bytes;
 use scavenger_env::{RandomAccessFile, WritableFile};
-use scavenger_util::coding::{get_length_prefixed_slice, put_length_prefixed_slice};
+use scavenger_util::coding::{get_length_prefixed_slice, put_length_prefixed_slice, varint64_len};
 use scavenger_util::ikey::extract_user_key;
 use scavenger_util::{Error, Result};
 use std::sync::Arc;
@@ -354,6 +356,45 @@ impl RTableReader {
         decode_record(&payload)
     }
 
+    /// Read the record at `offset`, the address its writer returned, if
+    /// it holds exactly the key `key_head ++ key_tail` and a `vlen`-byte
+    /// value. The key comes in two parts so that an internal key (user
+    /// key, then trailer) needs no buffer.
+    ///
+    /// The record's size follows from the two lengths, so this is one
+    /// checksummed read with no index or bloom access. It returns `None`
+    /// when the read would pass the end of the file, the checksum fails,
+    /// the payload does not decode, or the key or value length differs.
+    /// Callers then fall back to a keyed lookup, which reports a record
+    /// that is truly corrupt as an error.
+    pub fn read_record_at(
+        &self,
+        offset: u64,
+        key_head: &[u8],
+        key_tail: &[u8],
+        vlen: u32,
+    ) -> Option<Bytes> {
+        let (klen, vlen) = (key_head.len() + key_tail.len(), vlen as usize);
+        let size = varint64_len(klen as u64) + klen + varint64_len(vlen as u64) + vlen;
+        let end = offset.checked_add((size + BLOCK_TRAILER_LEN) as u64)?;
+        if end > self.fetcher.file.len() {
+            return None;
+        }
+        let payload = read_block(
+            self.fetcher.file.as_ref(),
+            BlockHandle::new(offset, size as u64),
+        )
+        .ok()?;
+        let mut cur = &payload[..];
+        let key = get_length_prefixed_slice(&mut cur).ok()?;
+        let value = get_length_prefixed_slice(&mut cur).ok()?;
+        let (head, tail) = key.split_at_checked(key_head.len())?;
+        if head != key_head || tail != key_tail || value.len() != vlen || !cur.is_empty() {
+            return None;
+        }
+        Some(payload.slice(size - vlen..))
+    }
+
     /// Point lookup: first record with key `>= target` (bloom-guarded).
     pub fn get(&self, target: &[u8]) -> Result<Option<(Vec<u8>, Bytes)>> {
         let ukey = match self.cmp {
@@ -497,6 +538,7 @@ impl RTableIter {
 mod tests {
     use super::*;
     use scavenger_env::{Env, IoClass, MemEnv};
+    use scavenger_util::ikey::{make_internal_key, pack_trailer, ValueType};
 
     fn opts() -> TableOptions {
         TableOptions {
@@ -634,6 +676,97 @@ mod tests {
         assert_eq!(it.key(), b"user000050");
         it.seek(b"user0000505");
         assert_eq!(it.key(), b"user000051");
+    }
+
+    /// Address read of a bytewise-keyed record.
+    fn read_at(r: &RTableReader, h: BlockHandle, key: &[u8], vlen: u32) -> Option<Bytes> {
+        r.read_record_at(h.offset, key, &[], vlen)
+    }
+
+    #[test]
+    fn read_record_at_returns_only_the_exact_record() {
+        let env = MemEnv::new();
+        let es = entries(20, 100);
+        let built = build(&env, "v.vsst", &es);
+        let r = open(&env, "v.vsst");
+        let index = r.read_index().unwrap();
+        let (k5, h5) = (&es[5].0, index[5].1);
+        // The right record, from its address alone, in one read and no
+        // index access.
+        let before = env.io_stats().snapshot();
+        let v = read_at(&r, h5, k5, 100).expect("hinted record");
+        assert_eq!(&v[..], es[5].1.as_slice());
+        let d = env.io_stats().snapshot().delta(&before);
+        assert_eq!(d.class(IoClass::FgValueRead).read_ops, 1);
+        // A key split anywhere between head and tail is the same key.
+        assert!(r
+            .read_record_at(h5.offset, &k5[..4], &k5[4..], 100)
+            .is_some());
+        // Wrong offset: another record's address, or a misaligned one.
+        assert!(read_at(&r, index[6].1, k5, 100).is_none());
+        assert!(read_at(&r, BlockHandle::new(h5.offset + 1, 0), k5, 100).is_none());
+        // Wrong value size.
+        assert!(read_at(&r, h5, k5, 99).is_none());
+        assert!(read_at(&r, h5, k5, 101).is_none());
+        // Wrong key of the same length, and a longer key.
+        assert!(read_at(&r, h5, &es[6].0, 100).is_none());
+        assert!(r.read_record_at(h5.offset, k5, b"\0", 100).is_none());
+        // Past the end of the file, and an offset that overflows.
+        assert!(read_at(&r, BlockHandle::new(built.file_size - 4, 0), k5, 100).is_none());
+        assert!(read_at(&r, BlockHandle::new(u64::MAX - 8, 0), k5, 100).is_none());
+        assert!(read_at(&r, h5, k5, u32::MAX).is_none());
+    }
+
+    #[test]
+    fn read_record_at_checks_internal_key_sequence() {
+        let env = MemEnv::new();
+        let f = env.new_writable("i.vsst", IoClass::Flush).unwrap();
+        let mut b = RTableBuilder::new(
+            f,
+            TableOptions {
+                cmp: KeyCmp::Internal,
+                ..TableOptions::default()
+            },
+        );
+        let ikey = make_internal_key(b"k", 7, ValueType::Value);
+        let h = b.add(&ikey, b"value").unwrap();
+        b.finish().unwrap();
+        let file = env
+            .open_random_access("i.vsst", IoClass::FgValueRead)
+            .unwrap();
+        let r = RTableReader::open(file, 1, None, KeyCmp::Internal).unwrap();
+        let trailer = |seq, t| pack_trailer(seq, t).to_le_bytes();
+        let got = r.read_record_at(h.offset, b"k", &trailer(7, ValueType::Value), 5);
+        assert_eq!(&got.unwrap()[..], b"value");
+        for (seq, t) in [
+            (8, ValueType::Value),
+            (6, ValueType::Value),
+            (7, ValueType::ValueRef),
+        ] {
+            assert!(r
+                .read_record_at(h.offset, b"k", &trailer(seq, t), 5)
+                .is_none());
+        }
+        assert!(r
+            .read_record_at(h.offset, b"j", &trailer(7, ValueType::Value), 5)
+            .is_none());
+    }
+
+    #[test]
+    fn read_record_at_rejects_a_corrupt_record() {
+        let env = MemEnv::new();
+        let es = entries(10, 64);
+        build(&env, "v.vsst", &es);
+        let r = open(&env, "v.vsst");
+        let index = r.read_index().unwrap();
+        let h = index[2].1;
+        // A flipped value byte: the length checks pass, the checksum does not.
+        env.corrupt_byte("v.vsst", h.offset + h.size - 1).unwrap();
+        assert!(read_at(&r, h, &es[2].0, 64).is_none());
+        // The keyed path reports the same record as corrupt.
+        assert!(matches!(r.read_record(h), Err(Error::Corruption(_))));
+        // Its neighbours are untouched.
+        assert!(read_at(&r, index[1].1, &es[1].0, 64).is_some());
     }
 
     #[test]

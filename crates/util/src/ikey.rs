@@ -123,17 +123,20 @@ pub fn cmp_internal(a: &[u8], b: &[u8]) -> Ordering {
 ///   forest at read time, so it may name a long-deleted ancestor file.
 /// * `size` — size in bytes of the value; used for compensated-size
 ///   compaction and garbage accounting without touching the value store.
-/// * `offset` — byte offset within the file for address-based schemes
-///   (BlobDB/Titan). Key-ordered vSST formats (BTable/RTable) locate the
-///   record by key and leave this as the builder reported it (still useful
-///   as a hint for sequential GC).
+/// * `offset` — byte offset within the file the reference names. Blob
+///   logs (BlobDB/Titan) read the value at it. An RTable (Scavenger)
+///   stores the record's offset, which reads try first as an address hint
+///   while that file is live, falling back to a keyed lookup. A BTable
+///   (TerarkDB) locates the record by key and leaves this as the builder
+///   reported it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ValueRef {
     /// Value-store file number.
     pub file: u64,
     /// Value size in bytes.
     pub size: u32,
-    /// Byte offset of the record within the file (address-based modes).
+    /// Byte offset within the file: of the value (blob logs) or of the
+    /// record (RTables).
     pub offset: u64,
 }
 

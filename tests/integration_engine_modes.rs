@@ -3,6 +3,7 @@
 
 use scavenger::{Db, EngineMode, MemEnv, Options};
 use scavenger_env::{Env, EnvRef};
+use scavenger_util::ikey::extract_user_key;
 use scavenger_workload::dist::KeyDist;
 use scavenger_workload::runner::Runner;
 use scavenger_workload::values::ValueGen;
@@ -185,4 +186,102 @@ fn blob_value_corruption_fails_foreground_get() {
             "{mode:?}: {err}"
         );
     }
+}
+
+/// The live value file holding `key`'s one stored version, with the path,
+/// offset and payload size of its record.
+fn vsst_record_of(db: &Db, key: &[u8]) -> (u64, String, u64, u64) {
+    let vs = db.value_store();
+    let mut found = Vec::new();
+    for meta in vs.all_files() {
+        let index = vs.gc_reader(meta.file).unwrap().read_lazy_index().unwrap();
+        for (ikey, h) in index {
+            if extract_user_key(&ikey) == key {
+                let path = format!("{}/{:06}.vsst", vs.dir(), meta.file);
+                found.push((meta.file, path, h.offset, h.size));
+            }
+        }
+    }
+    assert_eq!(found.len(), 1, "one stored version of the key");
+    found.pop().unwrap()
+}
+
+/// Both read paths must refuse `key` with corruption; every other row a
+/// scan yields before the error must carry its true value.
+fn assert_corruption_surfaces(db: &Db, key: &[u8], want: impl Fn(&[u8]) -> Vec<u8>) {
+    let err = db.get(key).unwrap_err();
+    assert!(matches!(err, scavenger::Error::Corruption(_)), "get: {err}");
+    let mut failed = false;
+    for row in db.scan(b"", None).unwrap() {
+        match row {
+            Ok(e) => {
+                assert_ne!(e.key, key, "the corrupt row must not be returned");
+                assert_eq!(e.value, want(&e.key), "row {:?}", e.key);
+            }
+            Err(e) => {
+                assert!(matches!(e, scavenger::Error::Corruption(_)), "scan: {e}");
+                failed = true;
+                break;
+            }
+        }
+    }
+    assert!(failed, "the scan must fail at the corrupt row");
+}
+
+/// In Scavenger mode a flipped byte inside a live vSST record fails both
+/// `get` and `scan` with corruption, never returning the flipped bytes:
+/// the address-hinted read refuses the record and the keyed lookup
+/// reports it. The same holds after GC moved the record to a new file,
+/// where the read resolves through the inheritance forest.
+#[test]
+fn vsst_record_corruption_fails_get_and_scan() {
+    let value = |key: &[u8], round: u8| {
+        let mut v = vec![round; 2048];
+        v[..key.len()].copy_from_slice(key);
+        v
+    };
+    let key = |i: usize| format!("key{i}").into_bytes();
+
+    // A record in the file its index entry names.
+    let env = MemEnv::shared();
+    let db = Db::open(small_opts(env.clone(), EngineMode::Scavenger)).unwrap();
+    for i in 0..8 {
+        db.put(key(i), value(&key(i), 0)).unwrap();
+    }
+    db.flush().unwrap();
+    assert_eq!(db.get(key(3)).unwrap().unwrap(), value(&key(3), 0));
+    assert!(db.stats().value_reads.reads_by_address > 0);
+    let (_, path, off, size) = vsst_record_of(&db, &key(3));
+    env.corrupt_byte(&path, off + size - 1).unwrap();
+    assert_corruption_surfaces(&db, &key(3), |k| value(k, 0));
+
+    // A record GC moved: overwrite most keys until compaction exposes the
+    // first file as mostly garbage, collect it, then corrupt a surviving
+    // record in its heir.
+    let env = MemEnv::shared();
+    let db = Db::open(small_opts(env.clone(), EngineMode::Scavenger)).unwrap();
+    for i in 0..8 {
+        db.put(key(i), value(&key(i), 0)).unwrap();
+    }
+    db.flush().unwrap();
+    let (before, ..) = vsst_record_of(&db, &key(7));
+    for round in 1..=4 {
+        for i in 0..6 {
+            db.put(key(i), value(&key(i), round)).unwrap();
+        }
+        db.flush().unwrap();
+    }
+    db.compact_all().unwrap();
+    db.run_gc_until_clean().unwrap();
+    assert!(
+        db.value_store().meta(before).is_none(),
+        "GC collected the file"
+    );
+    let want = |k: &[u8]| value(k, if k < &b"key6"[..] { 4 } else { 0 });
+    assert_eq!(db.get(key(7)).unwrap().unwrap(), want(&key(7)));
+    assert!(db.stats().value_reads.reads_inherited > 0);
+    let (after, path, off, size) = vsst_record_of(&db, &key(7));
+    assert_ne!(after, before, "the record moved");
+    env.corrupt_byte(&path, off + size - 1).unwrap();
+    assert_corruption_surfaces(&db, &key(7), want);
 }
